@@ -13,7 +13,7 @@ import argparse
 from cramsim.projection import RpConfig, iss, region_propose
 from cramsim.grid import BinaryFrame
 from cramsim.synth import SynthConfig, generate_scene
-from cramsim.timing import minimal_cycles_imc, minimal_cycles_total, trace_cycles
+from cramsim.timing import cost_report, minimal_cycles_imc, minimal_cycles_total, trace_cycles
 
 
 def diagonal_frame(n: int) -> BinaryFrame:
@@ -27,14 +27,11 @@ def diagonal_frame(n: int) -> BinaryFrame:
 def run_diagonal(n_max: int) -> None:
     print(f"{'N':>3} {'imc':>6} {'8N+8':>6} {'total':>6} {'10N+12':>7} {'iters':>5}")
     for n in range(n_max + 1):
-        frame = diagonal_frame(n)
-        found = iss(frame, RpConfig())
-        proposed = region_propose(frame, RpConfig())
-        imc = trace_cycles(found.trace)
-        total = trace_cycles(proposed.trace)
+        proposed = region_propose(diagonal_frame(n), RpConfig())
+        imc, total = cost_report(proposed)[:2]
         flag = "" if (imc, total) == (minimal_cycles_imc(n), minimal_cycles_total(n)) else "  <- off floor"
         print(f"{n:>3} {imc:>6} {minimal_cycles_imc(n):>6} {total:>6} "
-              f"{minimal_cycles_total(n):>7} {found.iterations:>5}{flag}")
+              f"{minimal_cycles_total(n):>7} {proposed.search.iterations:>5}{flag}")
 
 
 def run_random(frames: int, seed: int) -> None:

@@ -59,20 +59,16 @@ from .projection import (
     boxes_from_json,
     boxes_to_json,
     iss,
-    line_voltage,
-    project,
+    line_trips,
     region_propose,
     rp_update,
 )
 from .synth import Scene, SynthConfig, generate_corpus, generate_scene
 from .timing import (
-    CostTable,
     CycleTrace,
-    OpCounts,
-    PipelineRun,
+    cost_report,
     minimal_cycles_imc,
     minimal_cycles_total,
-    op_count,
     trace_cycles,
 )
 
@@ -83,7 +79,6 @@ __all__ = [
     "BinaryFrame",
     "Box",
     "ConfigError",
-    "CostTable",
     "CramSimError",
     "CycleTrace",
     "DiffusionConfig",
@@ -97,8 +92,6 @@ __all__ = [
     "InputError",
     "IssResult",
     "MatchResult",
-    "OpCounts",
-    "PipelineRun",
     "ProbeResult",
     "ProjectionConfig",
     "ProposeResult",
@@ -110,6 +103,7 @@ __all__ = [
     "boxes_from_json",
     "boxes_to_json",
     "ccl",
+    "cost_report",
     "diffuse_substep",
     "embed",
     "evaluate",
@@ -119,7 +113,7 @@ __all__ = [
     "generate_scene",
     "iou",
     "iss",
-    "line_voltage",
+    "line_trips",
     "load_analog",
     "load_events_bin",
     "load_events_csv",
@@ -127,9 +121,7 @@ __all__ = [
     "match_boxes",
     "minimal_cycles_imc",
     "minimal_cycles_total",
-    "op_count",
     "probe_diffusion_speed",
-    "project",
     "region_propose",
     "restore_image",
     "rp_update",

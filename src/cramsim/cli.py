@@ -26,18 +26,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .config import RunConfig, known_keys, load_config
 from .diffusion import apply_pulses, blank_frame_detect, probe_diffusion_speed, restore_image
-from .errors import CramSimError, InputError
+from .errors import ConfigError, CramSimError, InputError
 from .grid import analog_to_bytes, frame_to_bytes, load_frame
 from .oracle import FrameSample, evaluate, evaluate_sweep
 from .projection import boxes_from_json, boxes_to_json, region_propose
-from .timing import (
-    FULL_AXIS_PROJECTION,
-    REGION_PROJECTION,
-    CycleTrace,
-    PipelineRun,
-    op_count,
-    trace_cycles,
-)
+from .timing import cost_report
 
 
 def worker_count() -> int:
@@ -48,9 +41,9 @@ def worker_count() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise CramSimError(f"CRAM_SIM_THREADS must be an integer, got {raw!r}") from None
+        raise ConfigError(f"CRAM_SIM_THREADS must be an integer, got {raw!r}") from None
     if n < 0:
-        raise CramSimError("CRAM_SIM_THREADS must be >= 0")
+        raise ConfigError("CRAM_SIM_THREADS must be >= 0")
     return n if n > 0 else (os.cpu_count() or 1)
 
 
@@ -156,33 +149,21 @@ def cmd_propose(cfg: RunConfig, inputs: list[str], out: str) -> int:
     paths = _collect_pbm_inputs(inputs)
     dcfg = cfg.diffusion_config()
     rp = cfg.rp_config()
+    substeps = dcfg.pulses * dcfg.substeps_per_pulse if cfg.propose_restore else 0
 
-    def one(path: str) -> tuple[str, str]:
+    def one(path: str) -> str:
         frame = load_frame(path)
         if cfg.propose_restore:
             frame = restore_image(frame, dcfg, ring=cfg.ring)
         res = region_propose(frame, rp)
-        imc_entries = [e for e in res.trace.entries
-                       if e[0] in (FULL_AXIS_PROJECTION, REGION_PROJECTION)]
-        imc = trace_cycles(CycleTrace(imc_entries))
-        total = trace_cycles(res.trace)
-        run = PipelineRun(
-            pulses=dcfg.pulses if cfg.propose_restore else 0,
-            substeps_per_pulse=dcfg.substeps_per_pulse,
-            cells=(frame.height + 2 * cfg.ring) * (frame.width + 2 * cfg.ring),
-            projection_cells=list(res.projection_cells),
-        )
-        ops = op_count(run)
+        cells = (frame.height + 2 * cfg.ring) * (frame.width + 2 * cfg.ring)
         stem = _stem(path)
         _write_text(os.path.join(out, stem + ".boxes.json"), boxes_to_json(res.boxes))
-        row = (f"{stem},{len(res.boxes)},{imc},{total},"
-               f"{ops.diffusion_ops},{ops.projection_ops}")
-        return stem, row
+        return ",".join(map(str, (stem, len(res.boxes), *cost_report(res, substeps, cells))))
 
     rows = _map_frames(one, paths, worker_count())
     lines = ["frame_id,n_objects,imc_cycles,total_cycles,diffusion_ops,projection_ops"]
-    lines += [row for _, row in rows]
-    _write_text(os.path.join(out, "cycles.csv"), "\n".join(lines) + "\n")
+    _write_text(os.path.join(out, "cycles.csv"), "\n".join(lines + rows) + "\n")
     print(f"proposed regions for {len(rows)} frames to {out}")
     return 0
 
@@ -203,9 +184,17 @@ def _load_corpus(corpus: str) -> list[FrameSample]:
         gt_path = os.path.join(corpus, stem + ".gt.json")
         if not os.path.isfile(gt_path):
             raise InputError(f"missing ground truth for {name}: {gt_path}")
-        with open(gt_path, "r", encoding="utf-8") as fh:
-            gt = boxes_from_json(fh.read())
-        samples.append(FrameSample(frame=load_frame(os.path.join(corpus, name)), gt=gt))
+        try:
+            with open(gt_path, "r", encoding="utf-8") as fh:
+                gt = boxes_from_json(fh.read())
+        except (InputError, UnicodeDecodeError) as exc:
+            raise InputError(f"bad ground truth {gt_path}: {exc}") from None
+        frame = load_frame(os.path.join(corpus, name))
+        for box in gt:
+            if box.r1 >= frame.height or box.c1 >= frame.width:
+                raise InputError(f"bad ground truth {gt_path}: box with x1={box.c1}, "
+                                 f"y1={box.r1} outside the {frame.width}x{frame.height} frame")
+        samples.append(FrameSample(frame=frame, gt=gt))
     return samples
 
 

@@ -13,13 +13,12 @@ which stitches fragmented objects back together.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .grid import BinaryFrame
 from .timing import (
     CONTROLLER_FIXED,
@@ -98,7 +97,15 @@ class Box:
 
     @classmethod
     def from_json_obj(cls, obj: dict[str, int]) -> "Box":
-        return cls(r0=obj["y0"], r1=obj["y1"], c0=obj["x0"], c1=obj["x1"])
+        """Box from its JSON object; a malformed object raises InputError."""
+        keys = ("x0", "y0", "x1", "y1")
+        if not isinstance(obj, dict) or any(type(obj.get(k)) is not int for k in keys):
+            raise InputError(f"a box needs integer x0, y0, x1, y1, got {json.dumps(obj)}")
+        try:
+            return cls(r0=obj["y0"], r1=obj["y1"], c0=obj["x0"], c1=obj["x1"])
+        except ValueError:
+            raise InputError(
+                f"box {json.dumps(obj)} needs 0 <= x0 <= x1 and 0 <= y0 <= y1") from None
 
 
 def _interval_gap(a0: int, a1: int, b0: int, b1: int) -> int:
@@ -136,48 +143,16 @@ class RpConfig:
             raise ConfigError(f"unknown size_metric {self.size_metric!r}")
 
 
-def line_voltage(n_ones: int, cfg: ProjectionConfig) -> float:
-    """Saturating line voltage from n enabled 1-cells: 1 - exp(-n/lambda).
+def line_trips(n_ones: int | np.ndarray, cfg: ProjectionConfig) -> np.bool_ | np.ndarray:
+    """Detector output of lines charged by n_ones enabled 1-cells each.
 
-    Zero enabled 1s leaves the line floating at zero; the voltage grows
-    monotonically with the count and saturates at VDD = 1.
+    A line's voltage saturates as 1 - e^(-n/lambda): zero enabled 1s leave
+    it floating at zero, and it grows monotonically with the count towards
+    VDD = 1. The detector trips iff the voltage strictly exceeds vref.
+    n_ones may be one count or an array of counts; the result has its shape.
     """
-    if n_ones < 0:
-        raise ConfigError("n_ones must be >= 0")
-    return 1.0 - math.exp(-n_ones / cfg.line_charge_constant)
-
-
-def _detect(counts: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
-    volts = 1.0 - np.exp(-counts.astype(np.float64) / cfg.line_charge_constant)
-    return (volts > cfg.vref).astype(np.uint8)
-
-
-def project(
-    frame: BinaryFrame,
-    axis: Axis,
-    mask: Iterable[int] | np.ndarray,
-    cfg: ProjectionConfig,
-) -> np.ndarray:
-    """Project the frame onto one axis with the orthogonal axis masked.
-
-    Returns one detection bit per line on `axis`: 1 iff the line's voltage,
-    charged by 1-pixels at enabled orthogonal indices, exceeds vref.
-    """
-    mask_arr = np.unique(np.asarray(list(mask) if not isinstance(mask, np.ndarray) else mask,
-                                    dtype=np.intp))
-    if mask_arr.size == 0:
-        raise ConfigError("projection mask must not be empty")
-    if axis == "rows":
-        if mask_arr[0] < 0 or mask_arr[-1] >= frame.width:
-            raise ConfigError("mask index outside frame columns")
-        counts = frame.pixels[:, mask_arr].sum(axis=1)
-    elif axis == "cols":
-        if mask_arr[0] < 0 or mask_arr[-1] >= frame.height:
-            raise ConfigError("mask index outside frame rows")
-        counts = frame.pixels[mask_arr, :].sum(axis=0)
-    else:
-        raise ConfigError(f"unknown axis {axis!r}")
-    return _detect(counts, cfg)
+    volts = 1.0 - np.exp(-np.asarray(n_ones, dtype=np.float64) / cfg.line_charge_constant)
+    return volts > cfg.vref
 
 
 def runs_from_bits(bits: Sequence[int] | np.ndarray) -> list[tuple[int, int]]:
@@ -210,7 +185,7 @@ def _refine(
         counts = block.sum(axis=0)
     else:
         counts = block.sum(axis=1)
-    bits = _detect(counts, cfg)
+    bits = line_trips(counts, cfg)
     out = []
     for lo, hi in runs_from_bits(bits):
         if axis == "cols":
@@ -236,7 +211,7 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
 
     trace.append(FULL_AXIS_PROJECTION)
     cells.append(frame.width * frame.height)
-    row_bits = _detect(frame.pixels.sum(axis=1), pcfg)
+    row_bits = line_trips(frame.pixels.sum(axis=1), pcfg)
     candidates = [Box(lo, hi, 0, frame.width - 1) for lo, hi in runs_from_bits(row_bits)]
     iterations = 1
     prev_count = len(candidates)
@@ -295,11 +270,11 @@ def rp_update(new_boxes: Sequence[Box], cfg: RpConfig) -> list[Box]:
 
 @dataclass
 class ProposeResult:
+    """Consolidated boxes, the full trace, and the search they came from."""
+
     boxes: list[Box]
     trace: CycleTrace
-    iss_boxes: list[Box]
-    iterations: int
-    projection_cells: list[int] = field(default_factory=list)
+    search: IssResult
 
 
 def region_propose(frame: BinaryFrame, cfg: RpConfig) -> ProposeResult:
@@ -314,7 +289,7 @@ def region_propose(frame: BinaryFrame, cfg: RpConfig) -> ProposeResult:
     if found.boxes:
         trace.append(CONTROLLER_OBJECT, len(found.boxes))
     trace.append(CONTROLLER_FIXED)
-    return ProposeResult(boxes, trace, found.boxes, found.iterations, found.projection_cells)
+    return ProposeResult(boxes, trace, found)
 
 
 def boxes_to_json(boxes: Sequence[Box]) -> str:
@@ -324,4 +299,11 @@ def boxes_to_json(boxes: Sequence[Box]) -> str:
 
 
 def boxes_from_json(text: str) -> list[Box]:
-    return [Box.from_json_obj(obj) for obj in json.loads(text)]
+    """Parse a JSON array of x/y extents; malformed text raises InputError."""
+    try:
+        objs = json.loads(text)
+    except ValueError as exc:
+        raise InputError(f"not valid JSON: {exc}") from None
+    if not isinstance(objs, list):
+        raise InputError("boxes JSON must be an array")
+    return [Box.from_json_obj(obj) for obj in objs]

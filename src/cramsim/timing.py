@@ -1,8 +1,8 @@
-"""Cycle accounting for region-proposal traces and pipeline op counts.
+"""Cycle accounting for region-proposal traces and a frame's modeled cost.
 
 The controller's minimal execution time is linear in the object count N:
 8N+8 cycles for the in-memory phase alone and 10N+12 with controller
-bookkeeping. The default cost table is calibrated so a minimal trace
+bookkeeping. The per-op cycle costs are calibrated so a minimal trace
 (one full-axis projection, one region projection per object, one
 controller entry per object plus fixed overhead) reproduces both lines.
 """
@@ -10,37 +10,27 @@ controller entry per object plus fixed overhead) reproduces both lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from .projection import ProposeResult
 
 FULL_AXIS_PROJECTION = "full_axis_projection"
 REGION_PROJECTION = "region_projection"
 CONTROLLER_OBJECT = "controller_object"
 CONTROLLER_FIXED = "controller_fixed"
 
-OP_KINDS = (FULL_AXIS_PROJECTION, REGION_PROJECTION, CONTROLLER_OBJECT, CONTROLLER_FIXED)
+# Cycles charged per primitive operation.
+CYCLES = {
+    FULL_AXIS_PROJECTION: 8,
+    REGION_PROJECTION: 8,
+    CONTROLLER_OBJECT: 2,
+    CONTROLLER_FIXED: 4,
+}
 
 DIFFUSION_OPS_PER_CELL = 5  # 4 neighbor adds + 1 scale per cell per substep
-
-
-@dataclass(frozen=True)
-class CostTable:
-    """Cycles charged per primitive operation."""
-
-    full_axis_projection: int = 8
-    region_projection: int = 8
-    controller_object: int = 2
-    controller_fixed: int = 4
-
-    def __post_init__(self):
-        for kind in OP_KINDS:
-            if getattr(self, kind) < 0:
-                raise ConfigError(f"cost for {kind} must be >= 0")
-
-    def cost(self, kind: str) -> int:
-        if kind not in OP_KINDS:
-            raise ConfigError(f"unknown op kind {kind!r}")
-        return getattr(self, kind)
 
 
 @dataclass
@@ -50,23 +40,19 @@ class CycleTrace:
     entries: list[tuple[str, int]] = field(default_factory=list)
 
     def append(self, kind: str, count: int = 1) -> None:
-        if kind not in OP_KINDS:
+        if kind not in CYCLES:
             raise ConfigError(f"unknown op kind {kind!r}")
         if count < 1:
             raise ConfigError(f"entry count must be >= 1, got {count}")
         self.entries.append((kind, count))
 
-    def concat(self, other: "CycleTrace") -> "CycleTrace":
-        return CycleTrace(self.entries + other.entries)
-
     def total(self, kind: str) -> int:
         return sum(count for k, count in self.entries if k == kind)
 
 
-def trace_cycles(trace: CycleTrace, costs: CostTable | None = None) -> int:
-    """Total cycles of a trace under a cost table (additive over concatenation)."""
-    costs = costs or CostTable()
-    return sum(count * costs.cost(kind) for kind, count in trace.entries)
+def trace_cycles(trace: CycleTrace) -> int:
+    """Total cycles of a trace (additive over concatenated entries)."""
+    return sum(count * CYCLES[kind] for kind, count in trace.entries)
 
 
 def minimal_cycles_imc(n_objects: int) -> int:
@@ -83,28 +69,27 @@ def minimal_cycles_total(n_objects: int) -> int:
     return 10 * n_objects + 12
 
 
-@dataclass
-class PipelineRun:
-    """What a pipeline invocation actually touched, for op-count reporting.
+class CostReport(NamedTuple):
+    """One frame's modeled cost, in ``cycles.csv`` column order."""
 
-    cells counts the diffused array including the dummy ring;
-    projection_cells holds the cells sensed by each projection, in order.
-    """
-
-    pulses: int = 0
-    substeps_per_pulse: int = 0
-    cells: int = 0
-    projection_cells: list[int] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class OpCounts:
+    imc_cycles: int
+    total_cycles: int
     diffusion_ops: int
     projection_ops: int
 
 
-def op_count(run: PipelineRun) -> OpCounts:
-    """Pixel-ops for diffusion and cell-reads for projections in a run."""
-    diffusion = run.pulses * run.substeps_per_pulse * run.cells * DIFFUSION_OPS_PER_CELL
-    projection = sum(run.projection_cells)
-    return OpCounts(diffusion_ops=diffusion, projection_ops=projection)
+def cost_report(result: ProposeResult, substeps: int = 0, cells: int = 0) -> CostReport:
+    """Modeled cost of one region_propose run and the diffusion before it.
+
+    imc_cycles charges the search's array projections only; total_cycles
+    adds the controller entries. substeps counts the diffusion substeps run
+    before the search (0 for an unrestored frame) and cells the diffused
+    array, dummy ring included. projection_ops counts the cells sensed by
+    every projection of the search.
+    """
+    return CostReport(
+        imc_cycles=trace_cycles(result.search.trace),
+        total_cycles=trace_cycles(result.trace),
+        diffusion_ops=substeps * cells * DIFFUSION_OPS_PER_CELL,
+        projection_ops=sum(result.search.projection_cells),
+    )

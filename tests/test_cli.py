@@ -77,8 +77,6 @@ def test_config_materializes_component_configs():
 
 
 def test_worker_count_env(monkeypatch):
-    from cramsim.errors import CramSimError
-
     monkeypatch.setenv("CRAM_SIM_THREADS", "3")
     assert worker_count() == 3
     monkeypatch.setenv("CRAM_SIM_THREADS", "0")
@@ -86,10 +84,10 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("CRAM_SIM_THREADS")
     assert worker_count() >= 1
     monkeypatch.setenv("CRAM_SIM_THREADS", "lots")
-    with pytest.raises(CramSimError):
+    with pytest.raises(ConfigError):
         worker_count()
     monkeypatch.setenv("CRAM_SIM_THREADS", "-2")
-    with pytest.raises(CramSimError):
+    with pytest.raises(ConfigError):
         worker_count()
 
 
@@ -188,6 +186,40 @@ def test_propose_cycles_on_separated_frame(tmp_path):
     assert (int(row[1]), int(row[2]), int(row[3])) == (2, 24, 32)
 
 
+# The README session's corpus, and its cycles.csv without and with restoration.
+DEMO_CFG = """\
+frame.width = 64
+frame.height = 64
+synth.frames = 3
+synth.objects_max = 3
+synth.side_min = 8
+synth.side_max = 16
+synth.noise_density = 0.01
+synth.seed = 7
+"""
+CYCLES_HEADER = "frame_id,n_objects,imc_cycles,total_cycles,diffusion_ops,projection_ops"
+DEMO_CYCLES = {
+    "false": ["frame_00000,1,696,776,0,6987",
+              "frame_00001,3,832,938,0,8159",
+              "frame_00002,3,784,876,0,7952"],
+    "true": ["frame_00000,1,16,22,174240,5056",
+             "frame_00001,3,32,42,174240,6016",
+             "frame_00002,2,24,32,174240,5760"],
+}
+
+
+@pytest.mark.parametrize("restore", ["false", "true"])
+def test_readme_session_cycles_golden(tmp_path, restore):
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(DEMO_CFG)
+    corpus, out = tmp_path / "corpus", tmp_path / "boxes"
+    assert run_cli("synth", "--config", str(cfg), "--out", str(corpus)) == 0
+    assert run_cli("propose", str(corpus), "--out", str(out),
+                   "--propose.restore", restore) == 0
+    want = "\n".join([CYCLES_HEADER, *DEMO_CYCLES[restore]]) + "\n"
+    assert (out / "cycles.csv").read_text() == want
+
+
 # --- eval
 
 
@@ -222,6 +254,27 @@ def test_eval_missing_gt_fails(tmp_path, corpus):
     assert run_cli("eval", str(corpus), "--out", str(out)) == 1
 
 
+@pytest.mark.parametrize("payload", [
+    b'[{"x0": 1}]',
+    b"{not json",
+    b'[{"x0": 0, "y0": 0, "x1": 900, "y1": 3}]',
+    b'[{"x0": 0, "y0": 64, "x1": 3, "y1": 64}]',
+    b'[{"x0": 5, "y0": 0, "x1": 2, "y1": 3}]',
+    b'[{"x0": 0.5, "y0": 0, "x1": 2, "y1": 3}]',
+    b'{"x0": 0, "y0": 0, "x1": 2, "y1": 3}',
+    b"[1]",
+    b"\xff\xfe[]",
+], ids=["missing_key", "bad_json", "x_outside", "y_outside", "inverted", "float",
+        "not_array", "not_object", "not_utf8"])
+def test_eval_malformed_gt_fails(tmp_path, corpus, capsys, payload):
+    gt = corpus / "frame_00001.gt.json"
+    gt.write_bytes(payload)
+    assert run_cli("eval", str(corpus), "--out", str(tmp_path / "scores")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("cram-sim: error: ") and str(gt) in err[0]
+
+
 # --- probe
 
 
@@ -236,7 +289,9 @@ def test_probe_csv(tmp_path):
 # --- exit codes and override plumbing
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, monkeypatch):
+    from cramsim.grid import BinaryFrame, save_frame
+
     assert run_cli("probe", "--out", str(tmp_path), "--frame.bogus", "1") == 2
     assert run_cli("probe", "--out", str(tmp_path), "--diffusion.alpha", "0.9") == 2
     assert run_cli("probe", "--out", str(tmp_path), "--diffusion.amplitude", "0") == 3
@@ -244,6 +299,11 @@ def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.pbm"
     bad.write_bytes(b"P4\n8 8\nx")
     assert run_cli("propose", str(bad), "--out", str(tmp_path)) == 1
+    good = tmp_path / "good.pbm"
+    save_frame(BinaryFrame.zeros(8, 8), good)
+    for threads in ("lots", "-1"):
+        monkeypatch.setenv("CRAM_SIM_THREADS", threads)
+        assert run_cli("propose", str(good), "--out", str(tmp_path)) == 2
 
 
 def test_override_equals_form(tmp_path):

@@ -12,14 +12,14 @@ from conftest import frame_of
 from cramsim.errors import ConfigError
 from cramsim.grid import BinaryFrame
 from cramsim.projection import (
+    DAC_MAX,
     Box,
     ProjectionConfig,
     RpConfig,
     boxes_from_json,
     boxes_to_json,
     iss,
-    line_voltage,
-    project,
+    line_trips,
     region_propose,
     rp_update,
     runs_from_bits,
@@ -37,25 +37,33 @@ from cramsim.timing import (
 
 
 def test_line_voltage_frozen_values():
-    cfg = ProjectionConfig()
-    assert line_voltage(0, cfg) == 0.0
-    assert abs(line_voltage(1, cfg) - (1.0 - math.exp(-1 / 0.7))) < 1e-15
-    assert abs(line_voltage(1, cfg) - 0.7603490) < 1e-6
-    assert line_voltage(50, cfg) > 0.999999
-    with pytest.raises(ConfigError):
-        line_voltage(-1, cfg)
+    """The line charges as 1 - exp(-n/0.7) and trips strictly above dac_code/15."""
+    counts = np.arange(40)
+    for code in range(DAC_MAX + 1):
+        cfg = ProjectionConfig(dac_code=code)
+        want = [1.0 - math.exp(-n / 0.7) > code / 15 for n in counts.tolist()]
+        assert line_trips(counts, cfg).tolist() == want
+        assert [bool(line_trips(n, cfg)) for n in counts.tolist()] == want
+    # fewest enabled 1s that trip each code; V(1) = 0.7603490 sits in (11/15, 12/15]
+    fewest = [int(np.argmax(line_trips(counts, ProjectionConfig(dac_code=c))))
+              for c in range(DAC_MAX)]
+    assert fewest == [1] * 12 + [2] * 3
+    assert not line_trips(counts, ProjectionConfig(dac_code=DAC_MAX)).any()
 
 
 def test_line_voltage_monotone():
-    cfg = ProjectionConfig()
-    volts = [line_voltage(n, cfg) for n in range(20)]
-    assert all(a < b for a, b in zip(volts, volts[1:]))
+    """A line that trips keeps tripping with more charge, at every DAC code."""
+    counts = np.arange(40)
+    for code in range(DAC_MAX + 1):
+        bits = line_trips(counts, ProjectionConfig(dac_code=code)).astype(int)
+        assert bits[0] == 0  # a line with no enabled 1s floats at zero
+        assert np.all(np.diff(bits) >= 0)
 
 
 def test_default_vref_detects_single_pixel():
     cfg = ProjectionConfig()
     assert cfg.vref == 7 / 15
-    assert line_voltage(1, cfg) > cfg.vref  # one pixel is enough to trip a line
+    assert line_trips(1, cfg)  # one pixel is enough to trip a line
 
 
 def test_projection_config_validation():
@@ -77,16 +85,13 @@ def test_project_rows_and_cols_with_mask():
         """
     )
     cfg = ProjectionConfig()
-    assert project(f, "rows", range(4), cfg).tolist() == [0, 1, 0, 1]
-    assert project(f, "cols", range(4), cfg).tolist() == [1, 1, 1, 1]
-    # masking to the middle columns hides the row-3 corners
-    assert project(f, "rows", [1, 2], cfg).tolist() == [0, 1, 0, 0]
-    with pytest.raises(ConfigError):
-        project(f, "rows", [], cfg)
-    with pytest.raises(ConfigError):
-        project(f, "rows", [4], cfg)
-    with pytest.raises(ConfigError):
-        project(f, "diag", [0], cfg)
+    assert line_trips(f.pixels.sum(axis=1), cfg).tolist() == [False, True, False, True]
+    assert line_trips(f.pixels.sum(axis=0), cfg).all()
+    # each row-band candidate's column pass is masked to its own rows, which
+    # splits the row-3 corners apart and narrows row 1 to the middle columns
+    res = iss(f, RpConfig(max_iters=2))
+    assert res.boxes == [Box(1, 1, 1, 2), Box(3, 3, 0, 0), Box(3, 3, 3, 3)]
+    assert res.projection_cells == [16, 4, 4]
 
 
 @settings(max_examples=40, deadline=None)
@@ -97,15 +102,15 @@ def test_default_projection_equals_occupancy(data):
     w = data.draw(st.integers(1, 12))
     bits = data.draw(st.lists(st.integers(0, 1), min_size=h * w, max_size=h * w))
     f = BinaryFrame(np.array(bits, dtype=np.uint8).reshape(h, w))
-    got = project(f, "rows", range(w), ProjectionConfig())
-    want = (f.pixels.sum(axis=1) > 0).astype(np.uint8)
-    assert np.array_equal(got, want)
+    got = line_trips(f.pixels.sum(axis=1), ProjectionConfig())
+    assert np.array_equal(got, f.pixels.sum(axis=1) > 0)
 
 
 def test_high_vref_needs_more_charge():
     cfg = ProjectionConfig(dac_code=15)  # vref == 1.0, unreachable
     f = frame_of("##\n##")
-    assert project(f, "rows", range(2), cfg).tolist() == [0, 0]
+    assert not line_trips(f.pixels.sum(axis=1), cfg).any()
+    assert iss(f, RpConfig(projection=cfg)).boxes == []
 
 
 def test_runs_from_bits():
@@ -331,7 +336,7 @@ def test_region_propose_trace_composition():
         f.pixels[8 * i:8 * i + 4, 8 * i:8 * i + 4] = 1
     res = region_propose(f, RpConfig())
     assert len(res.boxes) == 3
-    assert res.iss_boxes == res.boxes
+    assert res.search.boxes == res.boxes
     assert trace_cycles(res.trace) == 42
     assert res.trace.total(CONTROLLER_OBJECT) == 3
     assert res.trace.total(CONTROLLER_FIXED) == 1
@@ -343,7 +348,7 @@ def test_region_propose_controller_counts_raw_detections():
     f.pixels[0:4, 0:4] = 1
     f.pixels[0:4, 6:10] = 1  # gap 2 < default slot 4
     res = region_propose(f, RpConfig())
-    assert len(res.iss_boxes) == 2
+    assert len(res.search.boxes) == 2
     assert res.boxes == [Box(0, 3, 0, 9)]
     assert res.trace.total(CONTROLLER_OBJECT) == 2
 

@@ -3,36 +3,30 @@
 import pytest
 
 from cramsim.errors import ConfigError
+from cramsim.grid import BinaryFrame
+from cramsim.projection import RpConfig, region_propose
 from cramsim.timing import (
     CONTROLLER_FIXED,
     CONTROLLER_OBJECT,
+    CYCLES,
     DIFFUSION_OPS_PER_CELL,
     FULL_AXIS_PROJECTION,
     REGION_PROJECTION,
-    CostTable,
     CycleTrace,
-    PipelineRun,
+    cost_report,
     minimal_cycles_imc,
     minimal_cycles_total,
-    op_count,
     trace_cycles,
 )
 
 
 def test_default_costs():
-    t = CostTable()
-    assert t.cost(FULL_AXIS_PROJECTION) == 8
-    assert t.cost(REGION_PROJECTION) == 8
-    assert t.cost(CONTROLLER_OBJECT) == 2
-    assert t.cost(CONTROLLER_FIXED) == 4
-    with pytest.raises(ConfigError):
-        t.cost("warp_drive")
-
-
-def test_cost_table_rejects_negative():
-    with pytest.raises(ConfigError):
-        CostTable(full_axis_projection=-1)
-    assert CostTable(controller_fixed=0).cost(CONTROLLER_FIXED) == 0
+    assert CYCLES == {
+        FULL_AXIS_PROJECTION: 8,
+        REGION_PROJECTION: 8,
+        CONTROLLER_OBJECT: 2,
+        CONTROLLER_FIXED: 4,
+    }
 
 
 def test_trace_append_validates():
@@ -53,11 +47,8 @@ def test_trace_cycles_and_concat():
     b = CycleTrace()
     b.append(REGION_PROJECTION, 2)
     b.append(CONTROLLER_FIXED)
-    both = a.concat(b)
-    assert trace_cycles(both) == 8 + 16 + 4
-    cheap = CostTable(full_axis_projection=1, region_projection=1,
-                      controller_object=1, controller_fixed=1)
-    assert trace_cycles(both, cheap) == 4
+    both = CycleTrace(a.entries + b.entries)
+    assert trace_cycles(both) == trace_cycles(a) + trace_cycles(b) == 8 + 16 + 4
 
 
 @pytest.mark.parametrize(
@@ -74,24 +65,28 @@ def test_minimal_cycles_reject_negative():
         minimal_cycles_imc(-1)
 
 
-def test_op_count_small_grid():
-    # 3x3 array, no ring, one pulse of one substep: 9 cells * 5 ops
-    run = PipelineRun(pulses=1, substeps_per_pulse=1, cells=9)
-    assert op_count(run).diffusion_ops == 45
-    assert op_count(run).projection_ops == 0
+def test_cost_report_small_grid():
+    # blank 1x1 frame in a ring of 1: 3x3 diffused cells, one substep
+    res = region_propose(BinaryFrame.zeros(1, 1), RpConfig())
+    cost = cost_report(res, substeps=1, cells=9)
+    assert cost.diffusion_ops == 45
     assert DIFFUSION_OPS_PER_CELL == 5
+    assert cost_report(res).diffusion_ops == 0
 
 
-def test_op_count_full_axis_sensor():
-    run = PipelineRun(projection_cells=[320 * 240])
-    ops = op_count(run)
-    assert ops.projection_ops == 76800
-    assert ops.diffusion_ops == 0
+def test_cost_report_full_axis_sensor():
+    res = region_propose(BinaryFrame.zeros(320, 240), RpConfig())
+    assert cost_report(res) == (8, 12, 0, 320 * 240)
 
 
-def test_op_count_accumulates_projections():
-    run = PipelineRun(pulses=2, substeps_per_pulse=8, cells=66 * 66,
-                      projection_cells=[64 * 64, 100, 30])
-    ops = op_count(run)
-    assert ops.diffusion_ops == 2 * 8 * 66 * 66 * 5
-    assert ops.projection_ops == 64 * 64 + 130
+def test_cost_report_accumulates_projections():
+    f = BinaryFrame.zeros(64, 64)
+    f.pixels[10:20, 5:15] = 1
+    f.pixels[40:44, 30:33] = 1
+    res = region_propose(f, RpConfig())
+    cost = cost_report(res, substeps=2 * 8, cells=66 * 66)
+    assert res.search.projection_cells == [64 * 64, 10 * 64, 4 * 64]
+    assert cost.projection_ops == 64 * 64 + 10 * 64 + 4 * 64
+    assert cost.diffusion_ops == 2 * 8 * 66 * 66 * 5
+    assert cost.imc_cycles == trace_cycles(res.search.trace) == 24
+    assert cost.total_cycles == trace_cycles(res.trace) == 24 + 2 * 2 + 4
