@@ -69,12 +69,18 @@ def _ensure_out(out: str) -> str:
     return out
 
 
+def _pbm_names(directory: str) -> list[str]:
+    """Sorted names of the regular files in directory whose names end in .pbm."""
+    return sorted(n for n in os.listdir(directory)
+                  if n.endswith(".pbm") and os.path.isfile(os.path.join(directory, n)))
+
+
 def _collect_pbm_inputs(paths: list[str]) -> list[str]:
     """Expand files and directories into a sorted list of PBM paths."""
     found: list[str] = []
     for p in paths:
         if os.path.isdir(p):
-            names = sorted(n for n in os.listdir(p) if n.endswith(".pbm"))
+            names = _pbm_names(p)
             if not names:
                 raise InputError(f"no .pbm files in directory {p}")
             found.extend(os.path.join(p, n) for n in names)
@@ -174,8 +180,7 @@ def cmd_propose(cfg: RunConfig, inputs: list[str], out: str) -> int:
 def _load_corpus(corpus: str) -> list[FrameSample]:
     if not os.path.isdir(corpus):
         raise InputError(f"corpus directory not found: {corpus}")
-    names = sorted(n for n in os.listdir(corpus)
-                   if n.endswith(".pbm") and not n.endswith(".restored.pbm"))
+    names = [n for n in _pbm_names(corpus) if not n.endswith(".restored.pbm")]
     if not names:
         raise InputError(f"no .pbm frames in {corpus}")
     samples = []
@@ -329,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     except CramSimError as exc:
         print(f"cram-sim: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"cram-sim: error: {exc}", file=sys.stderr)
         return 1
 

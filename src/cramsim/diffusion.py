@@ -135,6 +135,8 @@ def restore_image(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> Bi
 
 def blank_frame_detect(frame: BinaryFrame, max_ones: int = 0) -> bool:
     """True iff the frame holds at most max_ones set pixels."""
+    if max_ones < 0:
+        raise ConfigError(f"blank max_ones must be >= 0, got {max_ones}")
     return frame.popcount() <= max_ones
 
 

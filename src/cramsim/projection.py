@@ -12,6 +12,7 @@ which stitches fragmented objects back together.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
@@ -27,8 +28,6 @@ from .timing import (
     REGION_PROJECTION,
     CycleTrace,
 )
-
-Axis = Literal["rows", "cols"]
 
 DAC_BITS = 4
 DAC_MAX = 2**DAC_BITS - 1
@@ -155,14 +154,6 @@ def line_trips(n_ones: int | np.ndarray, cfg: ProjectionConfig) -> np.bool_ | np
     return volts > cfg.vref
 
 
-def runs_from_bits(bits: Sequence[int] | np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive 1 bits as inclusive (start, end) intervals."""
-    b = np.asarray(bits, dtype=np.int8)
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], b, [0]))))
-    starts, ends = edges[::2], edges[1::2] - 1
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
 @dataclass
 class IssResult:
     boxes: list[Box]
@@ -171,28 +162,54 @@ class IssResult:
     projection_cells: list[int] = field(default_factory=list)
 
 
-def _refine(
-    pixels: np.ndarray, cand: Box, axis: Axis, cfg: ProjectionConfig
-) -> list[Box]:
-    """Project one candidate onto `axis`, masked by its extent on the other axis.
+@functools.lru_cache(maxsize=16)
+def _trip_table(cfg: ProjectionConfig, longest: int) -> np.ndarray:
+    """Read-only line_trips output for every count from 0 to longest."""
+    table = line_trips(np.arange(longest + 1), cfg)
+    table.flags.writeable = False
+    return table
 
-    Only lines inside the candidate's current extent on the projected axis are
-    sensed; each detected run replaces that extent, so multiple runs split the
-    candidate.
+
+def _project(
+    cand: np.ndarray, points: np.ndarray, owner: np.ndarray, a: int, trips: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One batched pass: project every candidate onto one axis, split on its runs.
+
+    cand holds one row [r0, r1, c0, c1] per candidate; a is 0 to project onto
+    rows and 2 onto columns. points holds the row (points[0]) and column
+    (points[1]) of each set pixel inside a candidate, owner the candidate it
+    lies in, and trips[n] the detector output of a line with n enabled 1s.
+    The lines of all candidates are numbered one after another, each
+    candidate's after one clear gap line, so one bincount gives every line's
+    count and no run crosses from one candidate into the next. Each run of
+    tripped lines becomes a candidate with the run as its extent on the
+    projected axis. The result keeps candidate order, then line order, with
+    the set pixels inside it and their new owners.
     """
-    block = pixels[cand.r0:cand.r1 + 1, cand.c0:cand.c1 + 1]
-    if axis == "cols":
-        counts = block.sum(axis=0)
-    else:
-        counts = block.sum(axis=1)
-    bits = line_trips(counts, cfg)
-    out = []
-    for lo, hi in runs_from_bits(bits):
-        if axis == "cols":
-            out.append(Box(cand.r0, cand.r1, cand.c0 + lo, cand.c0 + hi))
-        else:
-            out.append(Box(cand.r0 + lo, cand.r0 + hi, cand.c0, cand.c1))
-    return out
+    stop = cand[:, a + 1] + 1
+    block_end = (stop - cand[:, a] + 1).cumsum()  # one past each candidate's last line
+    shift = block_end - stop  # line number = shift[owner] + coordinate
+    line = shift[owner]
+    line += points[a // 2]
+    # one more gap line after the last candidate closes its last run
+    counts = np.bincount(line, minlength=int(block_end[-1]) + 1)
+    bits = trips[counts]
+    flips = bits.copy()  # flips[j]: bits[j] differs from bits[j - 1]
+    flips[1:] ^= bits[:-1]
+    edges = flips.nonzero()[0]  # runs start at edges[0::2] and stop before edges[1::2]
+    starts, stops = edges[::2], edges[1::2]
+    parent = block_end.searchsorted(starts, "right")
+    offset = shift[parent]
+    refined = cand[parent]
+    refined[:, a] = starts - offset
+    refined[:, a + 1] = stops - offset - 1
+    owner = (flips.cumsum() >> 1)[line]  # the run of each tripped line
+    # Detection is monotone in the count, so when one enabled 1 trips a line
+    # every set pixel lies on a tripped line and stays inside a candidate.
+    if not trips[1] and counts[bits].sum() < len(line):
+        inside = bits[line]
+        points, owner = points.compress(inside, axis=1), owner.compress(inside)
+    return refined, points, owner
 
 
 def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
@@ -200,36 +217,45 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
 
     Iteration 1 projects every row with the full column mask; each detected
     row run opens a candidate spanning all columns. Every later iteration
-    alternates axis and re-projects each candidate within its own extents.
-    The search stops once the candidate count matches the previous
-    iteration's count (a row and a column pass have then both completed),
-    when no candidates remain, or at the max_iters cap.
-    """
-    pcfg = cfg.projection
-    trace = CycleTrace()
-    cells: list[int] = []
+    alternates axis and re-projects each candidate within its own extents:
+    only lines inside the candidate's extent on the projected axis are
+    sensed, masked by its extent on the other axis, and each detected run
+    replaces that extent, so multiple runs split the candidate. The search
+    stops once the candidate count matches the previous iteration's count
+    (a row and a column pass have then both completed), when no candidates
+    remain, or at the max_iters cap.
 
+    Each iteration is one batched pass over every candidate. Candidates stay
+    an (n, 4) array [r0, r1, c0, c1] until the final boxes are built, and a
+    pass counts only the set pixels still inside a candidate.
+    """
+    height, width = frame.pixels.shape
+    trips = _trip_table(cfg.projection, max(height, width))
+    trace = CycleTrace()
     trace.append(FULL_AXIS_PROJECTION)
-    cells.append(frame.width * frame.height)
-    row_bits = line_trips(frame.pixels.sum(axis=1), pcfg)
-    candidates = [Box(lo, hi, 0, frame.width - 1) for lo, hi in runs_from_bits(row_bits)]
+    points = np.array(np.divmod(np.flatnonzero(frame.pixels.view(np.bool_)), width))
+    whole = np.array([[0, height - 1, 0, width - 1]])
+    candidates, points, owner = _project(
+        whole, points, np.zeros_like(points[0]), 0, trips)
+    passes = [whole]  # the candidates each projection sensed
     iterations = 1
     prev_count = len(candidates)
 
-    while candidates and iterations < cfg.max_iters:
-        axis: Axis = "cols" if iterations % 2 == 1 else "rows"
+    while len(candidates) and iterations < cfg.max_iters:
+        a = 2 if iterations % 2 == 1 else 0
         iterations += 1
-        refined: list[Box] = []
-        for cand in candidates:
-            trace.append(REGION_PROJECTION)
-            cells.append(cand.area)
-            refined.extend(_refine(frame.pixels, cand, axis, pcfg))
-        candidates = refined
+        trace.append_many(REGION_PROJECTION, len(candidates))
+        passes.append(candidates)
+        candidates, points, owner = _project(candidates, points, owner, a, trips)
         if len(candidates) == prev_count:
             break
         prev_count = len(candidates)
 
-    return IssResult(sorted(candidates, key=_sort_key), iterations, trace, cells)
+    sensed = np.concatenate(passes)
+    sides = sensed[:, 1::2] - sensed[:, ::2] + 1
+    order = np.lexsort(candidates.T[[3, 1, 2, 0]])  # by r0, then c0, r1, c1
+    boxes = [Box(*row) for row in candidates[order].tolist()]
+    return IssResult(boxes, iterations, trace, sides.prod(axis=1).tolist())
 
 
 def _box_size(box: Box, metric: str) -> int:
@@ -285,7 +311,7 @@ def region_propose(frame: BinaryFrame, cfg: RpConfig) -> ProposeResult:
     """
     found = iss(frame, cfg)
     boxes = rp_update(found.boxes, cfg)
-    trace = CycleTrace(list(found.trace.entries))
+    trace = found.trace.copy()
     if found.boxes:
         trace.append(CONTROLLER_OBJECT, len(found.boxes))
     trace.append(CONTROLLER_FIXED)

@@ -35,24 +35,49 @@ DIFFUSION_OPS_PER_CELL = 5  # 4 neighbor adds + 1 scale per cell per substep
 
 @dataclass
 class CycleTrace:
-    """Ordered record of (op_kind, count) primitive operations."""
+    """Ordered record of (op_kind, count) primitive operations.
+
+    Per-kind totals are kept as entries arrive, so totals and cycle counts
+    never re-walk the entries. Add entries through the methods only.
+    """
 
     entries: list[tuple[str, int]] = field(default_factory=list)
+    _totals: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        entries, self.entries = self.entries, []
+        self._totals = dict.fromkeys(CYCLES, 0)
+        for kind, count in entries:
+            self.append(kind, count)
 
     def append(self, kind: str, count: int = 1) -> None:
+        self.append_many(kind, 1, count)
+
+    def append_many(self, kind: str, times: int, count: int = 1) -> None:
+        """Append `times` identical (kind, count) entries, checking them once."""
         if kind not in CYCLES:
             raise ConfigError(f"unknown op kind {kind!r}")
         if count < 1:
             raise ConfigError(f"entry count must be >= 1, got {count}")
-        self.entries.append((kind, count))
+        if times < 0:
+            raise ConfigError(f"entry repeat must be >= 0, got {times}")
+        self.entries.extend([(kind, count)] * times)
+        self._totals[kind] += times * count
 
     def total(self, kind: str) -> int:
-        return sum(count for k, count in self.entries if k == kind)
+        return self._totals.get(kind, 0)
+
+    def copy(self) -> "CycleTrace":
+        """An independent trace with the same entries and totals."""
+        other = CycleTrace()
+        other.entries = list(self.entries)
+        other._totals = dict(self._totals)
+        return other
 
 
 def trace_cycles(trace: CycleTrace) -> int:
     """Total cycles of a trace (additive over concatenated entries)."""
-    return sum(count * CYCLES[kind] for kind, count in trace.entries)
+    return sum(CYCLES[kind] * trace.total(kind) for kind in CYCLES)
 
 
 def minimal_cycles_imc(n_objects: int) -> int:

@@ -301,9 +301,40 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert run_cli("propose", str(bad), "--out", str(tmp_path)) == 1
     good = tmp_path / "good.pbm"
     save_frame(BinaryFrame.zeros(8, 8), good)
+    assert run_cli("restore", str(good), "--out", str(tmp_path), "--blank.max_ones", "-5") == 2
     for threads in ("lots", "-1"):
         monkeypatch.setenv("CRAM_SIM_THREADS", threads)
         assert run_cli("propose", str(good), "--out", str(tmp_path)) == 2
+
+
+def test_propose_skips_directory_named_pbm(tmp_path):
+    from cramsim.grid import BinaryFrame, save_frame
+
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    save_frame(BinaryFrame.zeros(8, 8), frames / "a.pbm")
+    (frames / "d.pbm").mkdir()
+    out = tmp_path / "out"
+    assert run_cli("propose", str(frames), "--out", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["a.boxes.json", "cycles.csv"]
+
+
+@pytest.mark.parametrize("case", ["only_pbm_is_directory", "out_is_a_file"])
+def test_unusable_paths_fail_with_one_error_line(tmp_path, capsys, case):
+    from cramsim.grid import BinaryFrame, save_frame
+
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    out = tmp_path / "out"
+    if case == "only_pbm_is_directory":
+        (frames / "d.pbm").mkdir()
+    else:
+        save_frame(BinaryFrame.zeros(8, 8), frames / "a.pbm")
+        out.write_text("not a directory\n")
+    capsys.readouterr()
+    assert run_cli("propose", str(frames), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cram-sim: error: ")
 
 
 def test_override_equals_form(tmp_path):

@@ -209,6 +209,8 @@ def test_blank_frame_detect():
     f.pixels[3, 3] = 1
     assert not blank_frame_detect(f)
     assert blank_frame_detect(f, max_ones=1)
+    with pytest.raises(ConfigError):
+        blank_frame_detect(f, max_ones=-1)
 
 
 def test_restore_makes_speck_frame_blank():

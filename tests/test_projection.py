@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frame_of
+from iss_reference import reference_iss, runs_from_bits
+from cramsim.config import RunConfig
 from cramsim.errors import ConfigError
 from cramsim.grid import BinaryFrame
 from cramsim.projection import (
@@ -22,8 +24,8 @@ from cramsim.projection import (
     line_trips,
     region_propose,
     rp_update,
-    runs_from_bits,
 )
+from cramsim.synth import generate_corpus
 from cramsim.timing import (
     CONTROLLER_FIXED,
     CONTROLLER_OBJECT,
@@ -241,6 +243,66 @@ def test_iss_boxes_cover_all_ones(data):
         assert block.any()  # no empty proposals
         covered[b.r0:b.r1 + 1, b.c0:b.c1 + 1] = True
     assert not (f.pixels.astype(bool) & ~covered).any()
+
+
+def assert_same_search(frame: BinaryFrame, cfg: RpConfig) -> None:
+    got, want = iss(frame, cfg), reference_iss(frame, cfg)
+    assert got.boxes == want.boxes
+    assert got.iterations == want.iterations
+    assert got.trace.entries == want.trace.entries
+    assert got.projection_cells == want.projection_cells
+
+
+frame_shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 40)),
+    st.tuples(st.integers(1, 40), st.just(1)),
+    st.tuples(st.integers(1, 40), st.integers(1, 40)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=frame_shapes,
+    density=st.floats(0.0, 0.5),
+    seed=st.integers(0, 10**6),
+    dac_code=st.integers(0, DAC_MAX),
+    max_iters=st.integers(2, 16),
+    edge=st.sampled_from(["none", "last_row", "last_col", "both"]),
+)
+def test_batched_search_matches_reference(shape, density, seed, dac_code, max_iters, edge):
+    """The batched search equals the per-candidate loop in every field it reports."""
+    h, w = shape
+    rng = np.random.default_rng(seed)
+    pixels = (rng.random((h, w)) < density).astype(np.uint8)
+    # a run that ends on the last row or column, where a line range meets the frame edge
+    if edge in ("last_row", "both"):
+        pixels[-1, rng.integers(0, w):] = 1
+    if edge in ("last_col", "both"):
+        pixels[rng.integers(0, h):, -1] = 1
+    cfg = RpConfig(max_iters=max_iters, projection=ProjectionConfig(dac_code=dac_code))
+    assert_same_search(BinaryFrame(pixels), cfg)
+
+
+def test_iss_ignores_ones_on_lines_that_did_not_trip():
+    """At dac_code 12 a line needs two 1s: the lone 1 in row 0 must not trip column 1."""
+    f = frame_of(
+        """
+        .#
+        ##
+        """
+    )
+    cfg = RpConfig(projection=ProjectionConfig(dac_code=12))
+    res = iss(f, cfg)
+    assert res.boxes == []
+    assert res.projection_cells == [4, 2]
+    assert_same_search(f, cfg)
+
+
+def test_batched_search_matches_reference_on_noisy_corpus():
+    """Noisy, fragmented 320x240 frames: hundreds of candidates per pass."""
+    scenes = generate_corpus(RunConfig(noise_density=0.01, fragment_gap=2, seed=7).synth_config(), 8)
+    for scene in scenes:
+        assert_same_search(scene.frame, RpConfig())
 
 
 # --- consolidation

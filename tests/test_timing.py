@@ -33,12 +33,23 @@ def test_trace_append_validates():
     tr = CycleTrace()
     tr.append(FULL_AXIS_PROJECTION)
     tr.append(REGION_PROJECTION, 3)
+    tr.append_many(REGION_PROJECTION, 2)
+    tr.append_many(CONTROLLER_OBJECT, 0)
     with pytest.raises(ConfigError):
         tr.append("warp_drive")
     with pytest.raises(ConfigError):
         tr.append(REGION_PROJECTION, 0)
-    assert tr.total(REGION_PROJECTION) == 3
+    with pytest.raises(ConfigError):
+        tr.append_many(REGION_PROJECTION, -1)
+    with pytest.raises(ConfigError):
+        tr.append_many(REGION_PROJECTION, 2, count=0)
+    assert tr.entries == [(FULL_AXIS_PROJECTION, 1), (REGION_PROJECTION, 3)] + [
+        (REGION_PROJECTION, 1)] * 2
+    assert tr.total(REGION_PROJECTION) == 5
     assert tr.total(FULL_AXIS_PROJECTION) == 1
+    assert tr.total("warp_drive") == 0
+    with pytest.raises(ConfigError):
+        CycleTrace([("warp_drive", 1)])
 
 
 def test_trace_cycles_and_concat():
@@ -49,6 +60,10 @@ def test_trace_cycles_and_concat():
     b.append(CONTROLLER_FIXED)
     both = CycleTrace(a.entries + b.entries)
     assert trace_cycles(both) == trace_cycles(a) + trace_cycles(b) == 8 + 16 + 4
+    grown = both.copy()
+    grown.append(CONTROLLER_OBJECT, 5)
+    assert trace_cycles(both) == 28 and trace_cycles(grown) == 38
+    assert both.entries == a.entries + b.entries
 
 
 @pytest.mark.parametrize(
