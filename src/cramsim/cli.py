@@ -25,7 +25,13 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 from .config import RunConfig, known_keys, load_config
-from .diffusion import apply_pulses, blank_frame_detect, probe_diffusion_speed, restore_image
+from .diffusion import (
+    apply_pulses,
+    blank_frame_detect,
+    probe_diffusion_speed,
+    restore_image,
+    threshold_restore,
+)
 from .errors import ConfigError, CramSimError, InputError
 from .grid import analog_to_bytes, frame_to_bytes, load_frame
 from .oracle import FrameSample, evaluate, evaluate_sweep
@@ -132,12 +138,14 @@ def cmd_restore(cfg: RunConfig, inputs: list[str], out: str, emit_analog: bool) 
 
     def one(path: str) -> tuple[str, bool]:
         frame = load_frame(path)
-        restored = restore_image(frame, dcfg, ring=cfg.ring)
         stem = _stem(path)
-        _write_bytes(os.path.join(out, stem + ".restored.pbm"), frame_to_bytes(restored))
         if emit_analog:
             state = apply_pulses(frame, dcfg, ring=cfg.ring)
+            restored = threshold_restore(state, dcfg.vth)
             _write_bytes(os.path.join(out, stem + ".analog.pgm"), analog_to_bytes(state))
+        else:
+            restored = restore_image(frame, dcfg, ring=cfg.ring)
+        _write_bytes(os.path.join(out, stem + ".restored.pbm"), frame_to_bytes(restored))
         return stem, blank_frame_detect(restored, max_ones=cfg.blank_max_ones)
 
     rows = _map_frames(one, paths, worker_count())

@@ -10,13 +10,14 @@ the simulated array, so total charge is conserved.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .errors import ConfigError, GuardError
-from .grid import AnalogState, BinaryFrame, embed
+from .grid import AnalogState, BinaryFrame
 
 MAX_PROBE_SUBSTEPS = 10**6
 
@@ -72,13 +73,92 @@ class ProbeResult:
     steps_to_threshold: int
 
 
-def _neighbor_counts(shape: tuple[int, int]) -> np.ndarray:
-    k = np.full(shape, 4.0)
-    k[0, :] -= 1.0
-    k[-1, :] -= 1.0
-    k[:, 0] -= 1.0
-    k[:, -1] -= 1.0
+@functools.lru_cache(maxsize=16)
+def _neighbor_counts(rows: int, cols: int) -> np.ndarray:
+    """Read-only in-grid neighbor count of each cell of a rows x cols grid.
+
+    Flat and laid out like rows 1..rows of a :class:`_Stencil` buffer: the
+    two border columns of each row hold 0.
+    """
+    k = np.zeros((rows, cols + 2))
+    cells = k[:, 1:-1]
+    cells += 4.0
+    cells[0, :] -= 1.0
+    cells[-1, :] -= 1.0
+    cells[:, 0] -= 1.0
+    cells[:, -1] -= 1.0
+    k = k.ravel()
+    k.flags.writeable = False
     return k
+
+
+class _Stencil:
+    """Double buffer that diffuses a rows x cols grid, dummy ring included.
+
+    Each buffer holds the grid inside a one-cell border of zeros and is used
+    flat. With row width wp = cols + 2, a cell's N, S, W and E neighbors sit
+    at offsets -wp, +wp, -1 and +1, so every op of a substep is a contiguous
+    1-D slice op over rows 1..rows. Those ops also write the two border
+    columns, which are zeroed again after each substep; the border rows are
+    never written. A zero border cell adds nothing to a neighbor sum and the
+    neighbor count leaves it out, so the outer edge reflects.
+    """
+
+    def __init__(self, rows: int, cols: int):
+        wp = cols + 2
+        self._wp = wp
+        self._k = _neighbor_counts(rows, cols)
+        self._tmp = np.empty(rows * wp)
+        self._cur = np.zeros((rows + 2) * wp)
+        self._nxt = np.zeros_like(self._cur)
+
+    @property
+    def grid(self) -> np.ndarray:
+        """Writable 2-D view of the current voltages, border excluded."""
+        return self._cur.reshape(-1, self._wp)[1:-1, 1:-1]
+
+    def run(self, coupling: float, substeps: int) -> None:
+        """Advance the grid by explicit substeps; see :func:`diffuse_substep`."""
+        wp, k, tmp = self._wp, self._k, self._tmp
+        lo, hi = wp, wp + k.size
+        cur, nxt = self._cur, self._nxt
+        for _ in range(substeps):
+            v, out = cur[lo:hi], nxt[lo:hi]
+            np.add(cur[lo - wp:hi - wp], cur[lo + wp:hi + wp], out=out)  # N + S
+            np.add(cur[lo - 1:hi - 1], cur[lo + 1:hi + 1], out=tmp)  # W + E
+            out += tmp
+            np.multiply(k, v, out=tmp)
+            out -= tmp
+            out *= coupling
+            out += v
+            nxt.reshape(-1, wp)[1:-1, ::wp - 1] = 0.0  # border columns
+            cur, nxt = nxt, cur
+        self._cur, self._nxt = cur, nxt
+
+    def redigitize(self, ring: int, vth: float) -> None:
+        """Threshold the interior back to bits and zero the ring, like a re-embed."""
+        inner = _interior(self.grid, ring)
+        bits = inner > vth
+        self._cur.fill(0.0)
+        inner[...] = bits
+
+
+def _interior(grid: np.ndarray, ring: int) -> np.ndarray:
+    return grid[ring:grid.shape[0] - ring, ring:grid.shape[1] - ring]
+
+
+def _embed(pixels: np.ndarray, ring: int) -> _Stencil:
+    """A stencil holding the frame's pixels inside a ring of zeros."""
+    if ring < 0:
+        raise ConfigError("ring width must be >= 0")
+    h, w = pixels.shape
+    stencil = _Stencil(h + 2 * ring, w + 2 * ring)
+    _interior(stencil.grid, ring)[...] = pixels
+    return stencil
+
+
+def _threshold(volts: np.ndarray, vth: float) -> BinaryFrame:
+    return BinaryFrame((volts > vth).astype(np.uint8))
 
 
 def diffuse_substep(state: AnalogState, coupling: float) -> AnalogState:
@@ -86,42 +166,45 @@ def diffuse_substep(state: AnalogState, coupling: float) -> AnalogState:
 
     v'(c) = v(c) + coupling * sum over in-grid 4-neighbors n of (v(n) - v(c)).
     Edge cells simply have fewer neighbor terms (reflecting outer boundary),
-    so total charge is conserved. Double-buffered: the input state is not
-    mutated. The neighbor sum is grouped as (N + S) + (W + E) so transposing
-    or flipping the grid commutes with the update bit-for-bit.
+    so total charge is conserved. The input state is not mutated. The update
+    is computed as v + coupling * (((N + S) + (W + E)) - k * v), with k the
+    cell's in-grid neighbor count, so transposing or flipping the grid
+    commutes with it bit-for-bit.
     """
     if not 0.0 < coupling <= STABILITY_LIMIT:
         raise ConfigError(f"coupling must be in (0, {STABILITY_LIMIT}], got {coupling}")
-    v = state.volts
-    padded = np.pad(v, 1)
-    neighbor_sum = (padded[:-2, 1:-1] + padded[2:, 1:-1]) + (padded[1:-1, :-2] + padded[1:-1, 2:])
-    out = v + coupling * (neighbor_sum - _neighbor_counts(v.shape) * v)
-    return AnalogState(out, state.ring)
+    stencil = _Stencil(*state.volts.shape)
+    stencil.grid[...] = state.volts
+    stencil.run(coupling, 1)
+    return AnalogState(stencil.grid, state.ring)
 
 
 def threshold_restore(state: AnalogState, vth: float) -> BinaryFrame:
     """Re-digitize the interior: pixel = 1 iff voltage strictly exceeds vth."""
     if not 0.0 < vth < 1.0:
         raise ConfigError(f"vth must be in (0, 1), got {vth}")
-    return BinaryFrame((state.interior() > vth).astype(np.uint8))
+    return _threshold(state.interior(), vth)
+
+
+def _pulse_train(frame: BinaryFrame, cfg: DiffusionConfig, ring: int) -> _Stencil:
+    stencil = _embed(frame.pixels, ring)
+    c = cfg.coupling
+    for pulse in range(cfg.pulses):
+        if c > 0.0:
+            stencil.run(c, cfg.substeps_per_pulse)
+        if cfg.redigitize_between_pulses and pulse < cfg.pulses - 1:
+            stencil.redigitize(ring, cfg.vth)
+    return stencil
 
 
 def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> AnalogState:
     """Run the configured pulse train on a frame; the final pulse stays analog.
 
     Between pulses (when enabled) the interior is thresholded back to bits and
-    re-embedded, which zeroes the ring exactly as a store-and-restart would.
+    the ring zeroed, exactly as a store-and-restart would.
     amplitude == 0 means no conduction: the embedded state passes through.
     """
-    state = embed(frame, ring)
-    c = cfg.coupling
-    for pulse in range(cfg.pulses):
-        if c > 0.0:
-            for _ in range(cfg.substeps_per_pulse):
-                state = diffuse_substep(state, c)
-        if cfg.redigitize_between_pulses and pulse < cfg.pulses - 1:
-            state = embed(threshold_restore(state, cfg.vth), ring)
-    return state
+    return AnalogState(_pulse_train(frame, cfg, ring).grid, ring)
 
 
 def restore_image(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> BinaryFrame:
@@ -130,7 +213,7 @@ def restore_image(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> Bi
     At the default config this removes every 4-isolated 1-pixel and fills any
     fully enclosed single-pixel hole in a solid block of 5x5 or larger.
     """
-    return threshold_restore(apply_pulses(frame, cfg, ring), cfg.vth)
+    return _threshold(_interior(_pulse_train(frame, cfg, ring).grid, ring), cfg.vth)
 
 
 def blank_frame_detect(frame: BinaryFrame, max_ones: int = 0) -> bool:
@@ -163,16 +246,16 @@ def probe_diffusion_speed(
         r0, c0 = (grid_h - 4) // 2, (grid_w - 4) // 2
     else:
         r0, c0 = 0, 0
-    frame = BinaryFrame.zeros(grid_w, grid_h)
-    frame.pixels[r0:r0 + 4, c0:c0 + 4] = 1
-    state = embed(frame, ring)
+    pixels = np.zeros((grid_h, grid_w))
+    pixels[r0:r0 + 4, c0:c0 + 4] = 1.0
+    stencil = _embed(pixels, ring)
     blob = (slice(ring + r0, ring + r0 + 4), slice(ring + c0, ring + c0 + 4))
     c = cfg.coupling
     if c <= 0.0:
         raise GuardError(f"{location} probe cannot settle: zero diffusion amplitude")
     for step in range(1, MAX_PROBE_SUBSTEPS + 1):
-        state = diffuse_substep(state, c)
-        if state.volts[blob].max() < cfg.vth:
+        stencil.run(c, 1)
+        if stencil.grid[blob].max() < cfg.vth:
             return ProbeResult(location, step)
     raise GuardError(
         f"{location} probe did not cross vth={cfg.vth} within {MAX_PROBE_SUBSTEPS} substeps"

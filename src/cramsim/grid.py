@@ -262,7 +262,7 @@ def load_analog(path: str | Path) -> AnalogState:
     lines = data.split(b"\n")
     if not lines or lines[0] != b"P5":
         raise FrameFormatError("not a P5 graymap", offset=0)
-    ring = 0
+    ring, dims_pos = 0, 0
     fields: list[int] = []
     pos = len(lines[0]) + 1
     index = 1
@@ -271,8 +271,15 @@ def load_analog(path: str | Path) -> AnalogState:
         if line.startswith(b"#"):
             parts = line[1:].split()
             if len(parts) == 2 and parts[0] == b"ring":
-                ring = int(parts[1])
+                try:
+                    ring = int(parts[1])
+                except ValueError:
+                    raise FrameFormatError(f"bad ring comment {line!r}", offset=pos)
+                if ring < 0:
+                    raise FrameFormatError(f"ring width must be >= 0, got {ring}", offset=pos)
         else:
+            if not fields:
+                dims_pos = pos
             try:
                 fields.extend(int(tok) for tok in line.split())
             except ValueError:
@@ -284,6 +291,9 @@ def load_analog(path: str | Path) -> AnalogState:
     cols, rows, maxval = fields
     if maxval != 255:
         raise FrameFormatError(f"unsupported maxval {maxval}", offset=pos)
+    if rows <= 2 * ring or cols <= 2 * ring:
+        raise FrameFormatError(f"{cols}x{rows} leaves no interior for ring {ring}",
+                               offset=dims_pos)
     payload = data[pos:pos + rows * cols]
     if len(payload) < rows * cols:
         raise FrameFormatError(

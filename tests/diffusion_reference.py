@@ -1,0 +1,48 @@
+"""Plain padded diffusion kernel, the reference for `cramsim.diffusion`.
+
+Every substep pads the grid with zeros, sums the four shifted views, rebuilds
+the neighbor-count array and builds a validated state. The flat in-place
+kernel must give the same voltages bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cramsim.diffusion import DiffusionConfig, threshold_restore
+from cramsim.grid import AnalogState, BinaryFrame, embed
+
+
+def neighbor_counts(shape: tuple[int, int]) -> np.ndarray:
+    k = np.full(shape, 4.0)
+    k[0, :] -= 1.0
+    k[-1, :] -= 1.0
+    k[:, 0] -= 1.0
+    k[:, -1] -= 1.0
+    return k
+
+
+def substep(state: AnalogState, coupling: float) -> AnalogState:
+    """v + c * (((N + S) + (W + E)) - k * v) over a zero-padded copy of the grid."""
+    v = state.volts
+    padded = np.pad(v, 1)
+    neighbor_sum = (padded[:-2, 1:-1] + padded[2:, 1:-1]) + (padded[1:-1, :-2] + padded[1:-1, 2:])
+    out = v + coupling * (neighbor_sum - neighbor_counts(v.shape) * v)
+    return AnalogState(out, state.ring)
+
+
+def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> AnalogState:
+    """The pulse train, one substep and one state at a time."""
+    state = embed(frame, ring)
+    c = cfg.coupling
+    for pulse in range(cfg.pulses):
+        if c > 0.0:
+            for _ in range(cfg.substeps_per_pulse):
+                state = substep(state, c)
+        if cfg.redigitize_between_pulses and pulse < cfg.pulses - 1:
+            state = embed(threshold_restore(state, cfg.vth), ring)
+    return state
+
+
+def restore_image(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> BinaryFrame:
+    return threshold_restore(apply_pulses(frame, cfg, ring), cfg.vth)

@@ -135,6 +135,37 @@ def test_restore_outputs_and_blank_flags(tmp_path, corpus):
     assert analog.volts.shape == (66, 66)
 
 
+def test_restore_emit_analog_runs_pulse_train_once(tmp_path, corpus, monkeypatch):
+    """--emit-analog thresholds the emitted state instead of diffusing the frame again."""
+    import threading
+
+    from cramsim import diffusion
+    from cramsim.grid import analog_to_bytes
+    from diffusion_reference import apply_pulses as reference_pulses
+
+    runs = []
+    lock = threading.Lock()
+    kernel = diffusion._Stencil.run
+
+    def counted(self, coupling, substeps):
+        with lock:
+            runs.append(substeps)
+        kernel(self, coupling, substeps)
+
+    monkeypatch.setattr(diffusion._Stencil, "run", counted)
+    plain, analog = tmp_path / "plain", tmp_path / "analog"
+    assert run_cli("restore", str(corpus), "--out", str(plain)) == 0
+    assert runs == [8] * 4
+    runs.clear()
+    assert run_cli("restore", str(corpus), "--out", str(analog), "--emit-analog") == 0
+    assert runs == [8] * 4
+    for path in sorted(plain.iterdir()):
+        assert (analog / path.name).read_bytes() == path.read_bytes()
+    for i in range(4):
+        want = reference_pulses(load_frame(corpus / f"frame_{i:05d}.pbm"), diffusion.DiffusionConfig())
+        assert (analog / f"frame_{i:05d}.analog.pgm").read_bytes() == analog_to_bytes(want)
+
+
 def test_restore_single_file_input(tmp_path, corpus):
     out = tmp_path / "r1"
     assert run_cli("restore", str(corpus / "frame_00001.pbm"), "--out", str(out)) == 0

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffusion_reference as reference
 from conftest import frame_of
+from cramsim.config import RunConfig
 from cramsim.diffusion import (
     DiffusionConfig,
     apply_pulses,
@@ -17,6 +19,7 @@ from cramsim.diffusion import (
 )
 from cramsim.errors import ConfigError, GuardError
 from cramsim.grid import AnalogState, BinaryFrame, embed
+from cramsim.synth import generate_corpus
 
 
 def reference_substep(volts: np.ndarray, coupling: float) -> np.ndarray:
@@ -54,6 +57,71 @@ def test_substep_matches_reference_model(volts, coupling):
     got = diffuse_substep(state, coupling).volts
     want = reference_substep(volts, coupling)
     assert np.allclose(got, want, atol=1e-12, rtol=0.0)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_matches_reference(frame: BinaryFrame, cfg: DiffusionConfig, ring: int) -> None:
+    before = frame.pixels.copy()
+    want = reference.apply_pulses(frame, cfg, ring)
+    got = apply_pulses(frame, cfg, ring)
+    assert got.ring == ring
+    assert_same_bits(got.volts, want.volts)
+    assert_same_bits(restore_image(frame, cfg, ring).pixels,
+                     reference.restore_image(frame, cfg, ring).pixels)
+    assert np.array_equal(frame.pixels, before)
+
+
+frame_shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 40)),
+    st.tuples(st.integers(1, 40), st.just(1)),
+    st.tuples(st.integers(1, 40), st.integers(1, 40)),
+)
+
+diffusion_configs = st.builds(
+    DiffusionConfig,
+    alpha=st.floats(0.001, 0.25),
+    substeps_per_pulse=st.integers(1, 10),
+    amplitude=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    pulses=st.integers(1, 3),
+    vth=st.floats(0.05, 0.95),
+    redigitize_between_pulses=st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=frame_shapes,
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10**6),
+    ring=st.integers(0, 2),
+    cfg=diffusion_configs,
+)
+def test_flat_kernel_matches_reference(shape, density, seed, ring, cfg):
+    """The flat in-place kernel equals the padded per-substep kernel bit for bit."""
+    rng = np.random.default_rng(seed)
+    frame = BinaryFrame((rng.random(shape) < density).astype(np.uint8))
+    assert_matches_reference(frame, cfg, ring)
+
+    volts = rng.random((shape[0] + 2 * ring, shape[1] + 2 * ring))
+    state = AnalogState(volts.copy(), ring)
+    coupling = max(cfg.coupling, 0.001)
+    got = diffuse_substep(state, coupling)
+    assert got.ring == ring
+    assert_same_bits(got.volts, reference.substep(state, coupling).volts)
+    assert_same_bits(state.volts, volts)
+
+
+def test_flat_kernel_matches_reference_on_noisy_corpus():
+    """Noisy, fragmented 320x240 frames at the default config, rings 0 to 2."""
+    scenes = generate_corpus(RunConfig(noise_density=0.01, fragment_gap=2, seed=7).synth_config(), 8)
+    for scene in scenes:
+        for ring in (0, 1, 2):
+            assert_matches_reference(scene.frame, DiffusionConfig(), ring)
 
 
 def test_single_center_substep_exact_values():

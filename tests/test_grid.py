@@ -198,6 +198,23 @@ def test_pgm_not_p5_rejected(scratch):
         load_analog(path)
 
 
+@pytest.mark.parametrize(
+    "header, offset",
+    [
+        (b"P5\n# ring x\n4 4\n255\n", 3),  # ring that is not an integer
+        (b"P5\n# ring -1\n4 4\n255\n", 3),  # negative ring
+        (b"P5\n# ring 2\n4 5\n255\n", 12),  # 4 columns leave no interior for ring 2
+    ],
+)
+def test_pgm_bad_ring_names_offset(scratch, header, offset):
+    path = scratch / "ring.pgm"
+    path.write_bytes(header + b"\x00" * 20)
+    with pytest.raises(FrameFormatError) as err:
+        load_analog(path)
+    assert err.value.offset == offset
+    assert f"(byte offset {offset})" in str(err.value)
+
+
 # --- event stream files
 
 
