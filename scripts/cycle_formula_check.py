@@ -35,7 +35,8 @@ def run_diagonal(n_max: int) -> None:
 
 
 def run_random(frames: int, seed: int) -> None:
-    cfg = SynthConfig(objects_min=2, objects_max=5, seed=seed)
+    cfg = SynthConfig(width=64, height=64, objects_min=2, objects_max=5,
+                      side_min=6, side_max=12, band_min=2, seed=seed)
     print(f"{'frame':>5} {'objects':>7} {'imc':>6} {'floor':>6} {'overhead':>8}")
     for i in range(frames):
         scene = generate_scene(cfg, seed=seed + i)

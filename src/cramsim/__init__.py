@@ -28,7 +28,6 @@ from .grid import (
     AnalogState,
     BinaryFrame,
     Event,
-    embed,
     frame_from_events,
     load_analog,
     load_events_bin,
@@ -105,7 +104,6 @@ __all__ = [
     "ccl",
     "cost_report",
     "diffuse_substep",
-    "embed",
     "evaluate",
     "evaluate_sweep",
     "frame_from_events",

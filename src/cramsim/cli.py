@@ -140,11 +140,11 @@ def cmd_restore(cfg: RunConfig, inputs: list[str], out: str, emit_analog: bool) 
         frame = load_frame(path)
         stem = _stem(path)
         if emit_analog:
-            state = apply_pulses(frame, dcfg, ring=cfg.ring)
+            state = apply_pulses(frame, dcfg, ring=cfg.frame_ring)
             restored = threshold_restore(state, dcfg.vth)
             _write_bytes(os.path.join(out, stem + ".analog.pgm"), analog_to_bytes(state))
         else:
-            restored = restore_image(frame, dcfg, ring=cfg.ring)
+            restored = restore_image(frame, dcfg, ring=cfg.frame_ring)
         _write_bytes(os.path.join(out, stem + ".restored.pbm"), frame_to_bytes(restored))
         return stem, blank_frame_detect(restored, max_ones=cfg.blank_max_ones)
 
@@ -168,9 +168,9 @@ def cmd_propose(cfg: RunConfig, inputs: list[str], out: str) -> int:
     def one(path: str) -> str:
         frame = load_frame(path)
         if cfg.propose_restore:
-            frame = restore_image(frame, dcfg, ring=cfg.ring)
+            frame = restore_image(frame, dcfg, ring=cfg.frame_ring)
         res = region_propose(frame, rp)
-        cells = (frame.height + 2 * cfg.ring) * (frame.width + 2 * cfg.ring)
+        cells = (frame.height + 2 * cfg.frame_ring) * (frame.width + 2 * cfg.frame_ring)
         stem = _stem(path)
         _write_text(os.path.join(out, stem + ".boxes.json"), boxes_to_json(res.boxes))
         return ",".join(map(str, (stem, len(res.boxes), *cost_report(res, substeps, cells))))
@@ -227,15 +227,15 @@ def cmd_eval(cfg: RunConfig, corpus: str, out: str) -> int:
     pipeline = cfg.eval_pipeline()
     workers = worker_count()
     lines = ["iou,tp,fp,fn,precision,recall,f1,setting_id,weighted_f1"]
-    if cfg.sweep_amplitudes and cfg.sweep_substeps:
+    if cfg.eval_sweep_amplitudes and cfg.eval_sweep_substeps:
         results = evaluate_sweep(
-            samples, pipeline, cfg.sweep_amplitudes, cfg.sweep_substeps,
-            cfg.iou_thresholds, workers=workers,
+            samples, pipeline, cfg.eval_sweep_amplitudes, cfg.eval_sweep_substeps,
+            cfg.eval_iou_thresholds, workers=workers,
         )
         for setting_id, reports in results:
             lines += _report_rows(setting_id, reports)
     else:
-        reports = evaluate(samples, pipeline, cfg.iou_thresholds, workers=workers)
+        reports = evaluate(samples, pipeline, cfg.eval_iou_thresholds, workers=workers)
         lines += _report_rows("default", reports)
     _write_text(os.path.join(out, "report.csv"), "\n".join(lines) + "\n")
     print(f"evaluated {len(samples)} frames; report in {out}/report.csv")
@@ -250,7 +250,7 @@ def cmd_probe(cfg: RunConfig, out: str) -> int:
     lines = ["location,steps"]
     for location in ("center", "corner"):
         res = probe_diffusion_speed(
-            cfg.frame_width, cfg.frame_height, location, dcfg, ring=cfg.ring,
+            cfg.frame_width, cfg.frame_height, location, dcfg, ring=cfg.frame_ring,
         )
         lines.append(f"{res.location},{res.steps_to_threshold}")
     _write_text(os.path.join(out, "probe.csv"), "\n".join(lines) + "\n")

@@ -5,15 +5,23 @@ lines and lines starting with ``#`` are skipped.  The same dotted keys
 can be passed on the command line as ``--section.key value``; overrides
 are applied after the file is read.  Unknown keys are rejected rather
 than ignored so that typos fail loudly.
+
+The component configs (``DiffusionConfig``, ``ProjectionConfig``,
+``RpConfig``, ``SynthConfig``) declare each knob's meaning, range and
+default; ``RunConfig`` mirrors their fields flat and takes their defaults.
+Each key and its parser are derived from a ``RunConfig`` field and its
+type hint.
 """
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field, fields
 
 from .diffusion import DiffusionConfig
 from .errors import ConfigError
-from .oracle import EvalPipeline
+from .grid import DEFAULT_HEIGHT, DEFAULT_WIDTH
+from .oracle import IOU_THRESHOLDS, EvalPipeline
 from .projection import ProjectionConfig, RpConfig
 from .synth import SynthConfig
 
@@ -27,155 +35,116 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_float_list(text: str) -> list[float]:
-    stripped = text.strip()
-    if not stripped:
-        return []
-    return [float(tok) for tok in stripped.split(",")]
+def _list_parser(item):
+    """Parser of a comma-separated list; an empty value is an empty list."""
+
+    def parse(text: str) -> list:
+        stripped = text.strip()
+        return [item(tok) for tok in stripped.split(",")] if stripped else []
+
+    return parse
 
 
-def _parse_int_list(text: str) -> list[int]:
-    stripped = text.strip()
-    if not stripped:
-        return []
-    return [int(tok) for tok in stripped.split(",")]
+_PARSERS = {
+    bool: _parse_bool,
+    int: int,
+    float: float,
+    str: str,
+    list[float]: _list_parser(float),
+    list[int]: _list_parser(int),
+}
 
 
 @dataclass
 class RunConfig:
-    """Everything a pipeline run needs, with workable defaults.
+    """Everything a pipeline run needs, flat, with the components' defaults.
 
-    Field defaults describe the full-size 320x240 sensor; the synth
-    object sizes are scaled to cover roughly 5% of that frame.  Smaller
-    experiments override frame geometry and sizes together.
+    Builders validate lazily: a component is checked only when a command
+    builds it, so a knob that a command does not use cannot fail it.
     """
 
-    frame_width: int = 320
-    frame_height: int = 240
-    ring: int = 1
+    frame_width: int = DEFAULT_WIDTH
+    frame_height: int = DEFAULT_HEIGHT
+    frame_ring: int = EvalPipeline.ring
     blank_max_ones: int = 0
-    alpha: float = 0.2
-    substeps_per_pulse: int = 8
-    amplitude: float = 1.0
-    pulses: int = 1
-    vth: float = 0.5
-    redigitize_between_pulses: bool = True
-    dac_code: int = 7
-    line_charge_constant: float = 0.7
-    size_min: int = 4
-    slot_r: int = 4
-    slot_c: int = 4
-    max_iters: int = 16
-    size_metric: str = "area"
-    pipeline_restore: bool = True
-    pipeline_consolidate: bool = True
+    alpha: float = DiffusionConfig.alpha
+    substeps_per_pulse: int = DiffusionConfig.substeps_per_pulse
+    amplitude: float = DiffusionConfig.amplitude
+    pulses: int = DiffusionConfig.pulses
+    vth: float = DiffusionConfig.vth
+    redigitize_between_pulses: bool = DiffusionConfig.redigitize_between_pulses
+    dac_code: int = ProjectionConfig.dac_code
+    line_charge_constant: float = ProjectionConfig.line_charge_constant
+    size_min: int = RpConfig.size_min
+    slot_r: int = RpConfig.slot_r
+    slot_c: int = RpConfig.slot_c
+    max_iters: int = RpConfig.max_iters
+    size_metric: str = RpConfig.size_metric
+    pipeline_restore: bool = EvalPipeline.restore
+    pipeline_consolidate: bool = EvalPipeline.consolidate
     propose_restore: bool = False
-    iou_thresholds: list[float] = field(default_factory=lambda: [0.3, 0.5, 0.7])
-    sweep_amplitudes: list[float] = field(default_factory=list)
-    sweep_substeps: list[int] = field(default_factory=list)
+    eval_iou_thresholds: list[float] = field(default_factory=lambda: list(IOU_THRESHOLDS))
+    eval_sweep_amplitudes: list[float] = field(default_factory=list)
+    eval_sweep_substeps: list[int] = field(default_factory=list)
     synth_frames: int = 16
-    objects_min: int = 1
-    objects_max: int = 4
-    side_min: int = 24
-    side_max: int = 48
-    band_min: int = 4
-    noise_density: float = 0.0
-    fragment_gap: int = 0
-    seed: int = 0
+    objects_min: int = SynthConfig.objects_min
+    objects_max: int = SynthConfig.objects_max
+    side_min: int = SynthConfig.side_min
+    side_max: int = SynthConfig.side_max
+    band_min: int = SynthConfig.band_min
+    noise_density: float = SynthConfig.noise_density
+    fragment_gap: int = SynthConfig.fragment_gap
+    seed: int = SynthConfig.seed
+
+    def _pick(self, component, **extra):
+        """Build a component from the fields it shares with this config."""
+        return component(**{name: getattr(self, name) for name in _SHARED[component]}, **extra)
 
     def diffusion_config(self) -> DiffusionConfig:
-        return DiffusionConfig(
-            alpha=self.alpha,
-            substeps_per_pulse=self.substeps_per_pulse,
-            amplitude=self.amplitude,
-            pulses=self.pulses,
-            vth=self.vth,
-            redigitize_between_pulses=self.redigitize_between_pulses,
-        )
-
-    def projection_config(self) -> ProjectionConfig:
-        return ProjectionConfig(
-            dac_code=self.dac_code,
-            line_charge_constant=self.line_charge_constant,
-        )
+        return self._pick(DiffusionConfig)
 
     def rp_config(self) -> RpConfig:
-        return RpConfig(
-            size_min=self.size_min,
-            slot_r=self.slot_r,
-            slot_c=self.slot_c,
-            max_iters=self.max_iters,
-            size_metric=self.size_metric,
-            projection=self.projection_config(),
-        )
+        return self._pick(RpConfig, projection=self._pick(ProjectionConfig))
 
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            width=self.frame_width,
-            height=self.frame_height,
-            objects_min=self.objects_min,
-            objects_max=self.objects_max,
-            side_min=self.side_min,
-            side_max=self.side_max,
-            band_min=self.band_min,
-            noise_density=self.noise_density,
-            fragment_gap=self.fragment_gap,
-            seed=self.seed,
-        )
+        return self._pick(SynthConfig, width=self.frame_width, height=self.frame_height)
 
     def eval_pipeline(self) -> EvalPipeline:
         return EvalPipeline(
             diffusion=self.diffusion_config(),
             rp=self.rp_config(),
-            ring=self.ring,
+            ring=self.frame_ring,
             restore=self.pipeline_restore,
             consolidate=self.pipeline_consolidate,
         )
 
 
-_KEYS = {
-    "frame.width": ("frame_width", int),
-    "frame.height": ("frame_height", int),
-    "frame.ring": ("ring", int),
-    "blank.max_ones": ("blank_max_ones", int),
-    "diffusion.alpha": ("alpha", float),
-    "diffusion.substeps_per_pulse": ("substeps_per_pulse", int),
-    "diffusion.amplitude": ("amplitude", float),
-    "diffusion.pulses": ("pulses", int),
-    "diffusion.vth": ("vth", float),
-    "diffusion.redigitize_between_pulses": ("redigitize_between_pulses", _parse_bool),
-    "projection.dac_code": ("dac_code", int),
-    "projection.line_charge_constant": ("line_charge_constant", float),
-    "rp.size_min": ("size_min", int),
-    "rp.slot_r": ("slot_r", int),
-    "rp.slot_c": ("slot_c", int),
-    "rp.max_iters": ("max_iters", int),
-    "rp.size_metric": ("size_metric", str),
-    "pipeline.restore": ("pipeline_restore", _parse_bool),
-    "pipeline.consolidate": ("pipeline_consolidate", _parse_bool),
-    "propose.restore": ("propose_restore", _parse_bool),
-    "eval.iou_thresholds": ("iou_thresholds", _parse_float_list),
-    "eval.sweep_amplitudes": ("sweep_amplitudes", _parse_float_list),
-    "eval.sweep_substeps": ("sweep_substeps", _parse_int_list),
-    "synth.frames": ("synth_frames", int),
-    "synth.objects_min": ("objects_min", int),
-    "synth.objects_max": ("objects_max", int),
-    "synth.side_min": ("side_min", int),
-    "synth.side_max": ("side_max", int),
-    "synth.band_min": ("band_min", int),
-    "synth.noise_density": ("noise_density", float),
-    "synth.fragment_gap": ("fragment_gap", int),
-    "synth.seed": ("seed", int),
+_SECTIONS = {DiffusionConfig: "diffusion", ProjectionConfig: "projection",
+             RpConfig: "rp", SynthConfig: "synth"}
+_SHARED = {
+    c: [f.name for f in fields(c) if f.name in RunConfig.__dataclass_fields__] for c in _SECTIONS
 }
+_SECTION_OF = {name: _SECTIONS[c] for c, names in _SHARED.items() for name in names}
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
-assert all(attr in _FIELD_NAMES for attr, _ in _KEYS.values())
+
+def _key(name: str) -> str:
+    """Dotted key of a RunConfig field.
+
+    A component's field takes that component's section (``alpha`` is
+    ``diffusion.alpha``); any other field ``section_name`` is ``section.name``.
+    """
+    return f"{_SECTION_OF[name]}.{name}" if name in _SECTION_OF else name.replace("_", ".", 1)
+
+
+_BY_KEY = {
+    _key(name): (name, _PARSERS[hint]) for name, hint in typing.get_type_hints(RunConfig).items()
+}
 
 
 def set_key(cfg: RunConfig, key: str, value: str) -> None:
     """Assign one dotted key on ``cfg``, converting the string value."""
     try:
-        attr, conv = _KEYS[key]
+        attr, conv = _BY_KEY[key]
     except KeyError:
         raise ConfigError(f"unknown configuration key: {key!r}") from None
     try:
@@ -206,6 +175,9 @@ def load_config(path: str | None, overrides: list[tuple[str, str]] | None = None
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc.reason} "
+                              f"at byte {exc.start}") from None
         parse_config_text(text, cfg, source=path)
     for key, value in overrides or []:
         set_key(cfg, key, value)
@@ -213,4 +185,4 @@ def load_config(path: str | None, overrides: list[tuple[str, str]] | None = None
 
 
 def known_keys() -> list[str]:
-    return sorted(_KEYS)
+    return sorted(_BY_KEY)

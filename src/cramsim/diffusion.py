@@ -46,7 +46,7 @@ class DiffusionConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= STABILITY_LIMIT:
             raise ConfigError(f"alpha must be in (0, {STABILITY_LIMIT}], got {self.alpha}")
-        if self.amplitude < 0.0:
+        if not self.amplitude >= 0.0:
             raise ConfigError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.amplitude * self.alpha > STABILITY_LIMIT:
             raise ConfigError(

@@ -152,16 +152,6 @@ def frame_from_events(
     return frame
 
 
-def embed(frame: BinaryFrame, ring: int = 1) -> AnalogState:
-    """Write a frame into an analog state: interior = pixel value, ring = 0.0."""
-    if ring < 0:
-        raise ConfigError("ring width must be >= 0")
-    h, w = frame.height, frame.width
-    volts = np.zeros((h + 2 * ring, w + 2 * ring), dtype=np.float64)
-    volts[ring:ring + h, ring:ring + w] = frame.pixels
-    return AnalogState(volts, ring)
-
-
 # --- PBM (P4) binary frames -------------------------------------------------
 
 def frame_to_bytes(frame: BinaryFrame) -> bytes:

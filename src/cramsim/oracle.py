@@ -18,6 +18,8 @@ from .errors import ConfigError
 from .grid import BinaryFrame
 from .projection import Box, RpConfig, iss, region_propose
 
+IOU_THRESHOLDS = (0.3, 0.5, 0.7)  # scored when no thresholds are given
+
 
 @dataclass(frozen=True)
 class Component:
@@ -204,7 +206,7 @@ def evaluate(
     """
     if not samples:
         raise ConfigError("evaluate needs at least one frame")
-    thresholds = iou_thresholds if iou_thresholds is not None else [0.3, 0.5, 0.7]
+    thresholds = iou_thresholds if iou_thresholds is not None else IOU_THRESHOLDS
 
     def run(sample: FrameSample) -> list[Box]:
         return pipeline.propose(sample.frame)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -43,8 +44,9 @@ class ProjectionConfig:
     def __post_init__(self):
         if not 0 <= self.dac_code <= DAC_MAX:
             raise ConfigError(f"dac_code must be in [0, {DAC_MAX}], got {self.dac_code}")
-        if self.line_charge_constant <= 0.0:
-            raise ConfigError("line_charge_constant must be > 0")
+        lam = self.line_charge_constant
+        if not 0.0 < lam < math.inf:
+            raise ConfigError(f"line_charge_constant must be finite and > 0, got {lam}")
 
     @property
     def vref(self) -> float:

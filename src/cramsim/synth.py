@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grid import BinaryFrame
+from .grid import DEFAULT_HEIGHT, DEFAULT_WIDTH, BinaryFrame
 from .projection import Box
 
 
@@ -24,17 +24,18 @@ from .projection import Box
 class SynthConfig:
     """Scene statistics: object count/size ranges, corruption, and the seed.
 
-    Defaults target roughly 5% frame occupancy at 64x64. band_min is the
-    narrowest all-zero separation between object groups.
+    Defaults describe the full-size sensor frame, with object sides scaled
+    to cover roughly 5% of it. band_min is the narrowest all-zero
+    separation between object groups.
     """
 
-    width: int = 64
-    height: int = 64
+    width: int = DEFAULT_WIDTH
+    height: int = DEFAULT_HEIGHT
     objects_min: int = 1
     objects_max: int = 4
-    side_min: int = 6
-    side_max: int = 12
-    band_min: int = 2
+    side_min: int = 24
+    side_max: int = 48
+    band_min: int = 4
     noise_density: float = 0.0
     fragment_gap: int = 0
     seed: int = 0

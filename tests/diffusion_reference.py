@@ -1,8 +1,9 @@
 """Plain padded diffusion kernel, the reference for `cramsim.diffusion`.
 
-Every substep pads the grid with zeros, sums the four shifted views, rebuilds
-the neighbor-count array and builds a validated state. The flat in-place
-kernel must give the same voltages bit for bit.
+A frame enters the array through `embed`. Every substep pads the grid with
+zeros, sums the four shifted views, rebuilds the neighbor-count array and
+builds a validated state. The flat in-place kernel must give the same
+voltages bit for bit.
 """
 
 from __future__ import annotations
@@ -10,7 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 from cramsim.diffusion import DiffusionConfig, threshold_restore
-from cramsim.grid import AnalogState, BinaryFrame, embed
+from cramsim.errors import ConfigError
+from cramsim.grid import AnalogState, BinaryFrame
+
+
+def embed(frame: BinaryFrame, ring: int = 1) -> AnalogState:
+    """Write a frame into an analog state: interior = pixel value, ring = 0.0."""
+    if ring < 0:
+        raise ConfigError("ring width must be >= 0")
+    h, w = frame.height, frame.width
+    volts = np.zeros((h + 2 * ring, w + 2 * ring), dtype=np.float64)
+    volts[ring:ring + h, ring:ring + w] = frame.pixels
+    return AnalogState(volts, ring)
 
 
 def neighbor_counts(shape: tuple[int, int]) -> np.ndarray:

@@ -1,17 +1,29 @@
 """End-to-end command-line behavior: outputs, config plumbing, exit codes."""
 
+import contextlib
+import io
+import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cramsim.cli import main, worker_count
-from cramsim.config import RunConfig, load_config, parse_config_text
+from cramsim.config import RunConfig, known_keys, load_config, parse_config_text, set_key
+from cramsim.diffusion import DiffusionConfig
 from cramsim.errors import ConfigError
-from cramsim.grid import load_analog, load_frame
-from cramsim.projection import boxes_from_json
+from cramsim.grid import BinaryFrame, frame_to_bytes, load_analog, load_frame
+from cramsim.projection import RpConfig, boxes_from_json
+from cramsim.synth import SynthConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SYNTH_ARGS = [
     "--frame.width", "64", "--frame.height", "64",
@@ -47,7 +59,7 @@ def test_config_file_and_overrides(tmp_path):
     cfg = load_config(str(cfg_file), [("frame.width", "48")])
     assert cfg.frame_width == 48  # override wins over file
     assert cfg.alpha == 0.1
-    assert cfg.iou_thresholds == [0.25, 0.75]
+    assert cfg.eval_iou_thresholds == [0.25, 0.75]
     assert cfg.pipeline_restore is False
 
 
@@ -65,6 +77,33 @@ def test_config_rejects_unknown_key_and_bad_values():
 def test_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/no/such/file.cfg")
+
+
+def readme_config_table() -> list[tuple[str, str]]:
+    """(key, documented default) for every key in README's configuration table."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = []
+    for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+        key_cell, default_cell = (cell.strip() for cell in line.split("|")[1:3])
+        keys = re.findall(r"`([^`]+)`", key_cell)
+        defaults = default_cell.split(", ") if len(keys) > 1 else [default_cell]
+        assert len(defaults) == len(keys), line
+        rows += [(key, "" if d == "empty" else d) for key, d in zip(keys, defaults)]
+    return rows
+
+
+def test_readme_config_table_and_defaults_match_code():
+    rows = readme_config_table()
+    assert sorted(key for key, _ in rows) == known_keys()
+    for key, default in rows:
+        cfg = RunConfig()
+        set_key(cfg, key, default)
+        assert cfg == RunConfig(), f"README default of {key} is {default!r}"
+    cfg = RunConfig()
+    assert cfg.diffusion_config() == DiffusionConfig()
+    assert cfg.rp_config() == RpConfig()
+    assert cfg.synth_config() == SynthConfig()
 
 
 def test_config_materializes_component_configs():
@@ -333,6 +372,20 @@ def test_exit_codes(tmp_path, monkeypatch):
     good = tmp_path / "good.pbm"
     save_frame(BinaryFrame.zeros(8, 8), good)
     assert run_cli("restore", str(good), "--out", str(tmp_path), "--blank.max_ones", "-5") == 2
+    not_utf8 = tmp_path / "bad.cfg"
+    not_utf8.write_bytes(b"\xff\xfe = 1\n")
+    assert run_cli("probe", "--out", str(tmp_path), "--config", str(not_utf8)) == 2
+    assert run_cli("restore", str(good), "--out", str(tmp_path),
+                   "--diffusion.amplitude", "nan") == 2
+    for lcc in ("nan", "inf"):
+        assert run_cli("propose", str(good), "--out", str(tmp_path),
+                       "--projection.line_charge_constant", lcc) == 2
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_frame(BinaryFrame.zeros(8, 8), corpus / "f.pbm")
+    (corpus / "f.gt.json").write_text("[]\n")
+    assert run_cli("eval", str(corpus), "--out", str(tmp_path), "--eval.sweep_amplitudes", "nan",
+                   "--eval.sweep_substeps", "4") == 2
     for threads in ("lots", "-1"):
         monkeypatch.setenv("CRAM_SIM_THREADS", threads)
         assert run_cli("propose", str(good), "--out", str(tmp_path)) == 2
@@ -407,3 +460,62 @@ def test_keys_subcommand(capsys):
     assert run_cli("keys") == 0
     out = capsys.readouterr().out
     assert "diffusion.alpha" in out and "synth.seed" in out
+
+
+# --- corrupt inputs
+
+
+def _fuzz_frame() -> bytes:
+    frame = BinaryFrame.zeros(8, 8)
+    frame.pixels[2:5, 2:5] = 1
+    return frame_to_bytes(frame)
+
+
+FUZZ_FILES = {
+    "corpus/f.pbm": _fuzz_frame(),
+    "corpus/f.gt.json": b'[{"x0": 2, "y0": 2, "x1": 4, "y1": 4}]\n',
+    "run.cfg": (b"diffusion.substeps_per_pulse = 8\nprojection.dac_code = 7\n"
+                b"rp.size_min = 1\npipeline.restore = true\n"),
+}
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for position, op, byte in edits:
+        at = position % (len(data) + 1)
+        if op == "replace" and at < len(data):
+            data = data[:at] + bytes([byte]) + data[at + 1:]
+        elif op == "insert":
+            data = data[:at] + bytes([byte]) + data[at:]
+        elif op == "delete":
+            data = data[:at] + data[at + 1:]
+        elif op == "truncate":
+            data = data[:at]
+    return data
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    command=st.sampled_from(["eval", "propose"]),
+    edits=st.dictionaries(
+        st.sampled_from(sorted(FUZZ_FILES)),
+        st.lists(st.tuples(st.integers(0, 255),
+                           st.sampled_from(["replace", "insert", "delete", "truncate"]),
+                           st.integers(0, 255)), min_size=1, max_size=3),
+        min_size=1,
+    ),
+)
+def test_corrupt_inputs_fail_with_one_error_line(command, edits):
+    """Mutated frame, ground-truth and config bytes never end in a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "corpus").mkdir()
+        for name, data in FUZZ_FILES.items():
+            (root / name).write_bytes(_mutate(data, edits.get(name, [])))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(root / "corpus"), "--config", str(root / "run.cfg"),
+                         "--out", str(root / "out")])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert len(lines) == (code != 0)
+    assert all(line.startswith("cram-sim: error: ") for line in lines)

@@ -18,7 +18,7 @@ from cramsim.diffusion import (
     threshold_restore,
 )
 from cramsim.errors import ConfigError, GuardError
-from cramsim.grid import AnalogState, BinaryFrame, embed
+from cramsim.grid import AnalogState, BinaryFrame
 from cramsim.synth import generate_corpus
 
 
@@ -184,6 +184,9 @@ def test_config_validation():
         DiffusionConfig(alpha=0.25, amplitude=1.5)  # product over the limit
     with pytest.raises(ConfigError):
         DiffusionConfig(amplitude=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            DiffusionConfig(amplitude=bad)
     with pytest.raises(ConfigError):
         DiffusionConfig(vth=1.0)
     with pytest.raises(ConfigError):

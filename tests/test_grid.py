@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffusion_reference import embed
 from cramsim.errors import ConfigError, EventRangeError, FrameFormatError
 from cramsim.grid import (
     AnalogState,
     BinaryFrame,
     Event,
-    embed,
     frame_from_events,
     frame_to_bytes,
     load_analog,

@@ -73,8 +73,9 @@ def test_projection_config_validation():
         ProjectionConfig(dac_code=16)
     with pytest.raises(ConfigError):
         ProjectionConfig(dac_code=-1)
-    with pytest.raises(ConfigError):
-        ProjectionConfig(line_charge_constant=0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            ProjectionConfig(line_charge_constant=bad)
 
 
 def test_project_rows_and_cols_with_mask():

@@ -103,7 +103,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SynthConfig(side_min=20, side_max=10)
     with pytest.raises(ConfigError):
-        SynthConfig(width=16, height=16, side_max=20)
+        SynthConfig(width=16, height=16, side_min=6, side_max=20)
     with pytest.raises(ConfigError):
         SynthConfig(noise_density=1.5)
     with pytest.raises(ConfigError):
@@ -115,4 +115,4 @@ def test_config_validation():
 def test_scene_dataclass_shape():
     s = generate_scene(SynthConfig(seed=0))
     assert isinstance(s, Scene)
-    assert s.frame.pixels.shape == s.clean.pixels.shape == (64, 64)
+    assert s.frame.pixels.shape == s.clean.pixels.shape == (240, 320)
