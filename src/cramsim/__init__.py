@@ -19,7 +19,6 @@ from .diffusion import (
 from .errors import (
     ConfigError,
     CramSimError,
-    EventRangeError,
     FrameFormatError,
     GuardError,
     InputError,
@@ -27,16 +26,7 @@ from .errors import (
 from .grid import (
     AnalogState,
     BinaryFrame,
-    Event,
-    frame_from_events,
-    load_analog,
-    load_events_bin,
-    load_events_csv,
     load_frame,
-    save_analog,
-    save_events_bin,
-    save_events_csv,
-    save_frame,
 )
 from .oracle import (
     EvalPipeline,
@@ -83,8 +73,6 @@ __all__ = [
     "DiffusionConfig",
     "EvalPipeline",
     "EvalReport",
-    "Event",
-    "EventRangeError",
     "FrameFormatError",
     "FrameSample",
     "GuardError",
@@ -106,15 +94,11 @@ __all__ = [
     "diffuse_substep",
     "evaluate",
     "evaluate_sweep",
-    "frame_from_events",
     "generate_corpus",
     "generate_scene",
     "iou",
     "iss",
     "line_trips",
-    "load_analog",
-    "load_events_bin",
-    "load_events_csv",
     "load_frame",
     "match_boxes",
     "minimal_cycles_imc",
@@ -123,10 +107,6 @@ __all__ = [
     "region_propose",
     "restore_image",
     "rp_update",
-    "save_analog",
-    "save_events_bin",
-    "save_events_csv",
-    "save_frame",
     "threshold_restore",
     "trace_cycles",
 ]

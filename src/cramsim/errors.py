@@ -13,27 +13,19 @@ class CramSimError(Exception):
 
 
 class InputError(CramSimError):
-    """Malformed or out-of-range input data (files, events, frames)."""
+    """Malformed or out-of-range input data (files, frames)."""
 
     exit_code = 1
 
 
 class FrameFormatError(InputError):
-    """Unparseable frame/event payload; carries the failing byte offset."""
+    """Unparseable frame payload; carries the failing byte offset."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-class EventRangeError(InputError):
-    """An event's coordinates fall outside the target frame."""
-
-    def __init__(self, index: int, detail: str):
-        super().__init__(f"event {index}: {detail}")
-        self.index = index
 
 
 class ConfigError(CramSimError):

@@ -207,6 +207,8 @@ def evaluate(
     if not samples:
         raise ConfigError("evaluate needs at least one frame")
     thresholds = iou_thresholds if iou_thresholds is not None else IOU_THRESHOLDS
+    if not thresholds:
+        raise ConfigError("evaluate needs at least one IoU threshold")
 
     def run(sample: FrameSample) -> list[Box]:
         return pipeline.propose(sample.frame)

@@ -19,7 +19,7 @@ from cramsim.cli import main, worker_count
 from cramsim.config import RunConfig, known_keys, load_config, parse_config_text, set_key
 from cramsim.diffusion import DiffusionConfig
 from cramsim.errors import ConfigError
-from cramsim.grid import BinaryFrame, frame_to_bytes, load_analog, load_frame
+from cramsim.grid import BinaryFrame, frame_to_bytes, load_frame
 from cramsim.projection import RpConfig, boxes_from_json
 from cramsim.synth import SynthConfig
 
@@ -152,12 +152,10 @@ def test_synth_outputs(corpus):
 
 def test_restore_outputs_and_blank_flags(tmp_path, corpus):
     # add a frame that restores to blank: two lone specks
-    from cramsim.grid import BinaryFrame, save_frame
-
     speck = BinaryFrame.zeros(64, 64)
     speck.pixels[10, 10] = 1
     speck.pixels[40, 50] = 1
-    save_frame(speck, corpus / "frame_99999.pbm")
+    (corpus / "frame_99999.pbm").write_bytes(frame_to_bytes(speck))
     (corpus / "frame_99999.gt.json").write_text("[]\n")
 
     out = tmp_path / "restored"
@@ -169,9 +167,10 @@ def test_restore_outputs_and_blank_flags(tmp_path, corpus):
     flags = dict(line.split(",") for line in csv_lines[1:])
     assert flags["frame_99999"] == "true"
     assert flags["frame_00000"] == "false"
-    analog = load_analog(out / "frame_00000.analog.pgm")
-    assert analog.ring == 1
-    assert analog.volts.shape == (66, 66)
+    analog = (out / "frame_00000.analog.pgm").read_bytes()
+    header = b"P5\n# ring 1\n66 66\n255\n"
+    assert analog[:len(header)] == header
+    assert len(analog) == len(header) + 66 * 66
 
 
 def test_restore_emit_analog_runs_pulse_train_once(tmp_path, corpus, monkeypatch):
@@ -242,13 +241,11 @@ def test_propose_with_restore_counts_diffusion(tmp_path, corpus):
 
 def test_propose_cycles_on_separated_frame(tmp_path):
     # diagonal-2 synthetic: cycles must hit the 8N+8 / 10N+12 floor
-    from cramsim.grid import BinaryFrame, save_frame
-
     f = BinaryFrame.zeros(32, 32)
     f.pixels[0:8, 0:8] = 1
     f.pixels[16:24, 16:24] = 1
     src = tmp_path / "diag.pbm"
-    save_frame(f, src)
+    src.write_bytes(frame_to_bytes(f))
     out = tmp_path / "d"
     assert run_cli("propose", str(src), "--out", str(out)) == 0
     row = (out / "cycles.csv").read_text().splitlines()[1].split(",")
@@ -360,8 +357,6 @@ def test_probe_csv(tmp_path):
 
 
 def test_exit_codes(tmp_path, monkeypatch):
-    from cramsim.grid import BinaryFrame, save_frame
-
     assert run_cli("probe", "--out", str(tmp_path), "--frame.bogus", "1") == 2
     assert run_cli("probe", "--out", str(tmp_path), "--diffusion.alpha", "0.9") == 2
     assert run_cli("probe", "--out", str(tmp_path), "--diffusion.amplitude", "0") == 3
@@ -370,7 +365,7 @@ def test_exit_codes(tmp_path, monkeypatch):
     bad.write_bytes(b"P4\n8 8\nx")
     assert run_cli("propose", str(bad), "--out", str(tmp_path)) == 1
     good = tmp_path / "good.pbm"
-    save_frame(BinaryFrame.zeros(8, 8), good)
+    good.write_bytes(frame_to_bytes(BinaryFrame.zeros(8, 8)))
     assert run_cli("restore", str(good), "--out", str(tmp_path), "--blank.max_ones", "-5") == 2
     not_utf8 = tmp_path / "bad.cfg"
     not_utf8.write_bytes(b"\xff\xfe = 1\n")
@@ -382,21 +377,20 @@ def test_exit_codes(tmp_path, monkeypatch):
                        "--projection.line_charge_constant", lcc) == 2
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    save_frame(BinaryFrame.zeros(8, 8), corpus / "f.pbm")
+    (corpus / "f.pbm").write_bytes(frame_to_bytes(BinaryFrame.zeros(8, 8)))
     (corpus / "f.gt.json").write_text("[]\n")
     assert run_cli("eval", str(corpus), "--out", str(tmp_path), "--eval.sweep_amplitudes", "nan",
                    "--eval.sweep_substeps", "4") == 2
+    assert run_cli("eval", str(corpus), "--out", str(tmp_path), "--eval.iou_thresholds", "") == 2
     for threads in ("lots", "-1"):
         monkeypatch.setenv("CRAM_SIM_THREADS", threads)
         assert run_cli("propose", str(good), "--out", str(tmp_path)) == 2
 
 
 def test_propose_skips_directory_named_pbm(tmp_path):
-    from cramsim.grid import BinaryFrame, save_frame
-
     frames = tmp_path / "frames"
     frames.mkdir()
-    save_frame(BinaryFrame.zeros(8, 8), frames / "a.pbm")
+    (frames / "a.pbm").write_bytes(frame_to_bytes(BinaryFrame.zeros(8, 8)))
     (frames / "d.pbm").mkdir()
     out = tmp_path / "out"
     assert run_cli("propose", str(frames), "--out", str(out)) == 0
@@ -405,15 +399,13 @@ def test_propose_skips_directory_named_pbm(tmp_path):
 
 @pytest.mark.parametrize("case", ["only_pbm_is_directory", "out_is_a_file"])
 def test_unusable_paths_fail_with_one_error_line(tmp_path, capsys, case):
-    from cramsim.grid import BinaryFrame, save_frame
-
     frames = tmp_path / "frames"
     frames.mkdir()
     out = tmp_path / "out"
     if case == "only_pbm_is_directory":
         (frames / "d.pbm").mkdir()
     else:
-        save_frame(BinaryFrame.zeros(8, 8), frames / "a.pbm")
+        (frames / "a.pbm").write_bytes(frame_to_bytes(BinaryFrame.zeros(8, 8)))
         out.write_text("not a directory\n")
     capsys.readouterr()
     assert run_cli("propose", str(frames), "--out", str(out)) == 1

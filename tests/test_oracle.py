@@ -207,6 +207,14 @@ def test_evaluate_requires_frames():
         evaluate([], pipe)
 
 
+def test_evaluate_requires_thresholds():
+    # None scores the default thresholds; an explicit empty list is an error
+    samples = [FrameSample(frame=frame_of("##\n##"), gt=[Box(0, 1, 0, 1)])]
+    pipe = EvalPipeline(diffusion=DiffusionConfig(), rp=RpConfig())
+    with pytest.raises(ConfigError):
+        evaluate(samples, pipe, [])
+
+
 def test_evaluate_sweep_setting_ids_and_grid_order():
     samples = [
         FrameSample(frame=frame_of("####\n####\n...."), gt=[Box(0, 1, 0, 3)])
