@@ -42,8 +42,8 @@ def run_random(frames: int, seed: int) -> None:
         scene = generate_scene(cfg, seed=seed + i)
         found = iss(scene.frame, RpConfig(size_min=1, slot_r=0, slot_c=0))
         imc = trace_cycles(found.trace)
-        floor = minimal_cycles_imc(len(found.boxes))
-        print(f"{i:>5} {len(found.boxes):>7} {imc:>6} {floor:>6} {imc - floor:>8}")
+        floor = minimal_cycles_imc(len(found.candidates))
+        print(f"{i:>5} {len(found.candidates):>7} {imc:>6} {floor:>6} {imc - floor:>8}")
 
 
 def main() -> None:

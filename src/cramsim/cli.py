@@ -19,10 +19,10 @@ variable; unset or 0 means one worker per CPU.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import RunConfig, known_keys, load_config
 from .diffusion import (
@@ -34,7 +34,7 @@ from .diffusion import (
 )
 from .errors import ConfigError, CramSimError, InputError
 from .grid import analog_to_bytes, frame_to_bytes, load_frame
-from .oracle import FrameSample, evaluate, evaluate_sweep
+from .oracle import FrameSample, _pool_map, evaluate, evaluate_sweep
 from .projection import boxes_from_json, boxes_to_json, region_propose
 from .timing import cost_report
 
@@ -107,11 +107,12 @@ def _stem(path: str) -> str:
 
 
 def _map_frames(func, items: list, workers: int) -> list:
-    """Apply func over items, in order, optionally on a thread pool."""
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(func, items))
-    return [func(item) for item in items]
+    """Apply func over items, in order, on the shared pool when workers > 1.
+
+    A name of its own, apart from the evaluate path, so that a profiler
+    hooking it sees only the commands' per-frame work.
+    """
+    return _pool_map(func, items, workers)
 
 
 # ---------------------------------------------------------------- synth
@@ -261,7 +262,9 @@ def cmd_probe(cfg: RunConfig, out: str) -> int:
 # ----------------------------------------------------------- dispatcher
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cram-sim",
         description="Behavioral simulator for a diffuse-then-project vision pipeline.",

@@ -8,6 +8,7 @@ ground-truth-count-weighted macro F1 is reported alongside for comparison.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -19,6 +20,28 @@ from .grid import BinaryFrame
 from .projection import Box, RpConfig, iss, region_propose
 
 IOU_THRESHOLDS = (0.3, 0.5, 0.7)  # scored when no thresholds are given
+
+_pools: dict[int, ThreadPoolExecutor] = {}  # worker count -> this process's pool
+_pools_lock = threading.Lock()
+
+
+def _pool_map(func, items: list, workers: int) -> list:
+    """Apply func over items, in order, on the process's pool of `workers` threads.
+
+    The pool for each worker count is created on first use and kept for the
+    life of the process, so repeated calls start no new threads. A task
+    running on a pool must never submit work to the same pool: once every
+    worker waits on such a task, nothing is left to run it. With one worker
+    or one item, func runs on the calling thread.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return [func(item) for item in items]
+    with _pools_lock:
+        pool = _pools.get(workers)
+        if pool is None:
+            pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="cram-sim")
+            _pools[workers] = pool
+    return list(pool.map(func, items))
 
 
 @dataclass(frozen=True)
@@ -112,14 +135,18 @@ class MatchResult:
     pairs: list[tuple[int, int]]  # (pred index, gt index)
 
 
+def _check_iou_threshold(iou_threshold: float) -> None:
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ConfigError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+
+
 def match_boxes(pred: list[Box], gt: list[Box], iou_threshold: float) -> MatchResult:
     """Greedy one-to-one matching in descending IoU order.
 
     A pair matches iff IoU >= iou_threshold; ties break on (gt index,
     pred index). Every prediction and ground truth is assigned at most once.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ConfigError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    _check_iou_threshold(iou_threshold)
     scored = []
     for gi, g in enumerate(gt):
         for pi, p in enumerate(pred):
@@ -203,21 +230,20 @@ def evaluate(
 
     tp/fp/fn accumulate globally (micro average); integer sums make the
     reduction order irrelevant, so per-frame work may run in parallel.
+    Every threshold is checked before any frame is proposed.
     """
     if not samples:
         raise ConfigError("evaluate needs at least one frame")
     thresholds = iou_thresholds if iou_thresholds is not None else IOU_THRESHOLDS
     if not thresholds:
         raise ConfigError("evaluate needs at least one IoU threshold")
+    for thr in thresholds:
+        _check_iou_threshold(thr)
 
     def run(sample: FrameSample) -> list[Box]:
         return pipeline.propose(sample.frame)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            predictions = list(pool.map(run, samples))
-    else:
-        predictions = [run(s) for s in samples]
+    predictions = _pool_map(run, samples, workers)
 
     reports = []
     for thr in thresholds:

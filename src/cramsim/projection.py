@@ -7,7 +7,9 @@ column projections, refining each candidate box on the projected axis and
 splitting it when the projection detects multiple runs, until the object
 count stops changing. A consolidation pass then drops undersized boxes and
 merges boxes whose row and column gaps are both under the slot thresholds,
-which stitches fragmented objects back together.
+which stitches fragmented objects back together. Candidates stay an (n, 4)
+array through the search and the size filter; Box objects are built only
+for the boxes that survive it, and for the raw search result on demand.
 """
 
 from __future__ import annotations
@@ -158,10 +160,18 @@ def line_trips(n_ones: int | np.ndarray, cfg: ProjectionConfig) -> np.bool_ | np
 
 @dataclass
 class IssResult:
-    boxes: list[Box]
+    """The search's final candidates, one row [r0, r1, c0, c1] each, sorted by
+    (r0, c0, r1, c1), with its iteration count, trace and sensed cells."""
+
+    candidates: np.ndarray
     iterations: int
     trace: CycleTrace
     projection_cells: list[int] = field(default_factory=list)
+
+    @property
+    def boxes(self) -> list[Box]:
+        """The candidates as Box objects, built on each read."""
+        return [Box(*row) for row in self.candidates.tolist()]
 
 
 @functools.lru_cache(maxsize=16)
@@ -228,8 +238,8 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     remain, or at the max_iters cap.
 
     Each iteration is one batched pass over every candidate. Candidates stay
-    an (n, 4) array [r0, r1, c0, c1] until the final boxes are built, and a
-    pass counts only the set pixels still inside a candidate.
+    an (n, 4) array [r0, r1, c0, c1], also in the result, and a pass counts
+    only the set pixels still inside a candidate.
     """
     height, width = frame.pixels.shape
     trips = _trip_table(cfg.projection, max(height, width))
@@ -256,29 +266,23 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     sensed = np.concatenate(passes)
     sides = sensed[:, 1::2] - sensed[:, ::2] + 1
     order = np.lexsort(candidates.T[[3, 1, 2, 0]])  # by r0, then c0, r1, c1
-    boxes = [Box(*row) for row in candidates[order].tolist()]
-    return IssResult(boxes, iterations, trace, sides.prod(axis=1).tolist())
+    return IssResult(candidates[order], iterations, trace, sides.prod(axis=1).tolist())
 
 
-def _box_size(box: Box, metric: str) -> int:
-    if metric == "max_side":
-        return max(box.height, box.width)
-    return box.area
-
-
-def rp_update(new_boxes: Sequence[Box], cfg: RpConfig) -> list[Box]:
+def rp_update(new_boxes: np.ndarray, cfg: RpConfig) -> list[Box]:
     """Consolidate proposals: size-filter, then merge near boxes to a fixpoint.
 
-    Boxes smaller than size_min are dropped as noise. Any two boxes whose row
-    gap is under slot_r AND column gap under slot_c (strict; overlapping
-    extents gap 0) merge into their bounding union, repeatedly, until stable.
-    Merging only grows boxes and shrinks gaps, so the fixpoint is unique and
-    the result is independent of input order.
+    new_boxes holds one row [r0, r1, c0, c1] per proposal. Boxes smaller than
+    size_min are dropped as noise. Any two boxes whose row gap is under slot_r
+    AND column gap under slot_c (strict; overlapping extents gap 0) merge into
+    their bounding union, repeatedly, until stable. Merging only grows boxes
+    and shrinks gaps, so the fixpoint is unique and the result is independent
+    of input order.
     """
-    boxes = sorted(
-        (b for b in new_boxes if _box_size(b, cfg.size_metric) >= cfg.size_min),
-        key=_sort_key,
-    )
+    sides = new_boxes[:, 1::2] - new_boxes[:, ::2] + 1  # heights, widths
+    size = sides.max(axis=1) if cfg.size_metric == "max_side" else sides.prod(axis=1)
+    kept = new_boxes[size >= cfg.size_min]
+    boxes = sorted((Box(*row) for row in kept.tolist()), key=_sort_key)
     merged = True
     while merged:
         merged = False
@@ -312,10 +316,10 @@ def region_propose(frame: BinaryFrame, cfg: RpConfig) -> ProposeResult:
     consolidation plus a fixed controller overhead entry.
     """
     found = iss(frame, cfg)
-    boxes = rp_update(found.boxes, cfg)
+    boxes = rp_update(found.candidates, cfg)
     trace = found.trace.copy()
-    if found.boxes:
-        trace.append(CONTROLLER_OBJECT, len(found.boxes))
+    if len(found.candidates):
+        trace.append(CONTROLLER_OBJECT, len(found.candidates))
     trace.append(CONTROLLER_FIXED)
     return ProposeResult(boxes, trace, found)
 

@@ -1,7 +1,7 @@
 """Plain per-candidate projection search, the reference for `projection.iss`.
 
 Every candidate is refined by its own call, one block sum and one run split
-at a time. The batched search must give the same boxes, iteration count,
+at a time. The batched search must give the same candidates, iteration count,
 trace entries and sensed cells.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from conftest import box_array
 from cramsim.grid import BinaryFrame
 from cramsim.projection import Box, IssResult, ProjectionConfig, RpConfig, line_trips
 from cramsim.timing import FULL_AXIS_PROJECTION, REGION_PROJECTION, CycleTrace
@@ -71,4 +72,4 @@ def reference_iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
         prev_count = len(candidates)
 
     boxes = sorted(candidates, key=lambda b: (b.r0, b.c0, b.r1, b.c1))
-    return IssResult(boxes, iterations, trace, cells)
+    return IssResult(box_array(boxes), iterations, trace, cells)

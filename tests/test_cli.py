@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -382,6 +383,7 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert run_cli("eval", str(corpus), "--out", str(tmp_path), "--eval.sweep_amplitudes", "nan",
                    "--eval.sweep_substeps", "4") == 2
     assert run_cli("eval", str(corpus), "--out", str(tmp_path), "--eval.iou_thresholds", "") == 2
+    assert run_cli("eval", str(corpus), "--out", str(tmp_path), "--eval.iou_thresholds", "5") == 2
     for threads in ("lots", "-1"):
         monkeypatch.setenv("CRAM_SIM_THREADS", threads)
         assert run_cli("propose", str(good), "--out", str(tmp_path)) == 2
@@ -437,6 +439,38 @@ def test_rerun_is_byte_identical(tmp_path):
     for name in sorted(p.name for p in ca.iterdir()):
         assert (ca / name).read_bytes() == (cb / name).read_bytes()
     assert (sa / "report.csv").read_bytes() == (sb / "report.csv").read_bytes()
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_outputs_do_not_depend_on_thread_count(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    assert run_cli("synth", "--out", str(corpus), *SYNTH_ARGS, "--synth.frames", "6",
+                   "--synth.noise_density", "0.01") == 0
+    trees = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("CRAM_SIM_THREADS", threads)
+        out = tmp_path / f"threads_{threads}"
+        assert run_cli("restore", str(corpus), "--out", str(out / "restored"),
+                       "--emit-analog") == 0
+        assert run_cli("propose", str(corpus), "--out", str(out / "boxes")) == 0
+        assert run_cli("eval", str(corpus), "--out", str(out / "report")) == 0
+        trees.append(_tree(out))
+    assert len(trees[0]) == (6 * 2 + 1) + (6 + 1) + 1  # restore, propose, eval
+    assert trees[0] == trees[1]
+
+
+def test_propose_reuses_one_pool_per_worker_count(tmp_path, corpus, monkeypatch):
+    start = threading.active_count()
+    for threads in ("2", "3"):
+        monkeypatch.setenv("CRAM_SIM_THREADS", threads)
+        for _ in range(5):
+            assert run_cli("propose", str(corpus), "--out", str(tmp_path / "boxes")) == 0
+    # at most one pool of 2 and one of 3 threads, not one pool per call
+    assert threading.active_count() - start <= 5
 
 
 def test_console_script_help():

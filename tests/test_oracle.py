@@ -1,11 +1,16 @@
 """Connected-components oracle, IoU matching, and corpus evaluation."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frame_of
+from cramsim import oracle
 from cramsim.diffusion import DiffusionConfig
 from cramsim.errors import ConfigError
 from cramsim.grid import BinaryFrame
@@ -215,6 +220,24 @@ def test_evaluate_requires_thresholds():
         evaluate(samples, pipe, [])
 
 
+def test_evaluate_checks_thresholds_before_any_frame(monkeypatch):
+    calls = []
+
+    def counting_propose(self, frame):
+        calls.append(frame)
+        return []
+
+    monkeypatch.setattr(EvalPipeline, "propose", counting_propose)
+    samples = [FrameSample(frame=frame_of("##\n##"), gt=[Box(0, 1, 0, 1)])] * 3
+    pipe = EvalPipeline(diffusion=DiffusionConfig(), rp=RpConfig())
+    for bad in (5, 0, -0.5, float("nan")):
+        with pytest.raises(ConfigError, match="iou_threshold"):
+            evaluate(samples, pipe, [0.5, bad], workers=2)
+    assert calls == []
+    evaluate(samples, pipe, [0.5])
+    assert len(calls) == 3
+
+
 def test_evaluate_sweep_setting_ids_and_grid_order():
     samples = [
         FrameSample(frame=frame_of("####\n####\n...."), gt=[Box(0, 1, 0, 3)])
@@ -260,3 +283,42 @@ def test_pipeline_toggles_change_proposals():
     # price of eroding one row from the top and bottom edges
     assert restored == [Box(5, 10, 4, 13)]
     assert boxes(True, True) == restored
+
+
+def test_pool_map_creates_one_pool_for_concurrent_callers(monkeypatch):
+    """Client threads that race on a fresh worker count share the one pool made for it."""
+    created = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(oracle, "_pools", {})
+    rounds, n_clients = 10, 8
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(rounds):
+            oracle._pools.clear()  # the next call must create the pool for 5 workers
+            start = threading.Barrier(n_clients)
+
+            def client(k):
+                start.wait()
+                results[r, k] = oracle._pool_map(lambda x: x * k, list(range(8)), 5)
+
+            clients = [threading.Thread(target=client, args=(k,)) for k in range(n_clients)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in clients)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in created:
+            pool.shutdown()
+    assert len(created) == rounds
+    assert results == {(r, k): [x * k for x in range(8)]
+                       for r in range(rounds) for k in range(n_clients)}

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_of
+from conftest import box_array, frame_of
 from iss_reference import reference_iss, runs_from_bits
+from rp_reference import reference_rp_update
 from cramsim.config import RunConfig
 from cramsim.errors import ConfigError
 from cramsim.grid import BinaryFrame
@@ -248,6 +249,9 @@ def test_iss_boxes_cover_all_ones(data):
 
 def assert_same_search(frame: BinaryFrame, cfg: RpConfig) -> None:
     got, want = iss(frame, cfg), reference_iss(frame, cfg)
+    assert got.candidates.dtype == want.candidates.dtype
+    assert got.candidates.shape == want.candidates.shape
+    assert (got.candidates == want.candidates).all()
     assert got.boxes == want.boxes
     assert got.iterations == want.iterations
     assert got.trace.entries == want.trace.entries
@@ -313,27 +317,27 @@ def test_rp_update_merges_within_slot():
     a = Box(0, 3, 0, 3)
     b = Box(0, 3, 6, 9)  # column gap 2 < slot 4, row overlap
     cfg = RpConfig(size_min=1, slot_r=4, slot_c=4)
-    assert rp_update([a, b], cfg) == [Box(0, 3, 0, 9)]
+    assert rp_update(box_array([a, b]), cfg) == [Box(0, 3, 0, 9)]
 
 
 def test_rp_update_gap_equal_to_slot_stays_split():
     a = Box(0, 3, 0, 3)
     b = Box(0, 3, 8, 11)  # column gap 4 == slot 4
     cfg = RpConfig(size_min=1, slot_r=4, slot_c=4)
-    assert rp_update([a, b], cfg) == [a, b]
+    assert rp_update(box_array([a, b]), cfg) == [a, b]
 
 
 def test_rp_update_needs_both_axes_within_slot():
     a = Box(0, 3, 0, 3)
     b = Box(9, 12, 0, 3)  # row gap 5 >= slot
     cfg = RpConfig(size_min=1, slot_r=4, slot_c=4)
-    assert rp_update([a, b], cfg) == [a, b]
+    assert rp_update(box_array([a, b]), cfg) == [a, b]
 
 
 def test_rp_update_chain_merge_reaches_fixpoint():
     boxes = [Box(0, 3, 0 + 6 * i, 3 + 6 * i) for i in range(4)]  # gaps of 2
     cfg = RpConfig(size_min=1, slot_r=4, slot_c=4)
-    assert rp_update(boxes, cfg) == [Box(0, 3, 0, 21)]
+    assert rp_update(box_array(boxes), cfg) == [Box(0, 3, 0, 21)]
 
 
 def test_rp_update_size_filter_area_vs_max_side():
@@ -341,8 +345,8 @@ def test_rp_update_size_filter_area_vs_max_side():
     dot = Box(5, 6, 5, 6)     # 2x2: area 4, max side 2
     area_cfg = RpConfig(size_min=4, slot_r=0, slot_c=0, size_metric="area")
     side_cfg = RpConfig(size_min=4, slot_r=0, slot_c=0, size_metric="max_side")
-    assert rp_update([sliver, dot], area_cfg) == [sliver, dot]
-    assert rp_update([sliver, dot], side_cfg) == [sliver]
+    assert rp_update(box_array([sliver, dot]), area_cfg) == [sliver, dot]
+    assert rp_update(box_array([sliver, dot]), side_cfg) == [sliver]
 
 
 def test_rp_update_filters_before_merging():
@@ -351,43 +355,60 @@ def test_rp_update_filters_before_merging():
     big2 = Box(0, 5, 20, 25)
     speck = Box(2, 2, 9, 9)
     cfg = RpConfig(size_min=4, slot_r=4, slot_c=4)
-    assert rp_update([big1, speck, big2], cfg) == [big1, big2]
+    assert rp_update(box_array([big1, speck, big2]), cfg) == [big1, big2]
 
 
 def test_rp_update_zero_slot_never_merges_separated():
     a = Box(0, 3, 0, 3)
     b = Box(0, 3, 4, 7)  # adjacent: gap 0; slot 0 requires gap < 0, impossible
     cfg = RpConfig(size_min=1, slot_r=0, slot_c=0)
-    assert rp_update([a, b], cfg) == [a, b]
+    assert rp_update(box_array([a, b]), cfg) == [a, b]
 
 
-boxes_strategy = st.lists(
-    st.tuples(st.integers(0, 20), st.integers(0, 8), st.integers(0, 20), st.integers(0, 8)).map(
-        lambda t: Box(t[0], t[0] + t[1], t[2], t[2] + t[3])
-    ),
-    min_size=0,
-    max_size=8,
-)
+box_strategy = st.tuples(
+    st.integers(0, 20), st.integers(0, 8), st.integers(0, 20), st.integers(0, 8)
+).map(lambda t: Box(t[0], t[0] + t[1], t[2], t[2] + t[3]))
+boxes_strategy = st.lists(box_strategy, min_size=0, max_size=8)
 
 
 @settings(max_examples=60, deadline=None)
 @given(boxes=boxes_strategy, perm_seed=st.integers(0, 999))
 def test_rp_update_order_invariant_and_idempotent(boxes, perm_seed):
     cfg = RpConfig(size_min=2, slot_r=3, slot_c=3)
-    merged = rp_update(boxes, cfg)
+    merged = rp_update(box_array(boxes), cfg)
     rng = np.random.default_rng(perm_seed)
     shuffled = [boxes[i] for i in rng.permutation(len(boxes))]
-    assert rp_update(shuffled, cfg) == merged
-    assert rp_update(merged, cfg) == merged
+    assert rp_update(box_array(shuffled), cfg) == merged
+    assert rp_update(box_array(merged), cfg) == merged
 
 
 @settings(max_examples=60, deadline=None)
 @given(boxes=boxes_strategy)
 def test_rp_update_output_pairwise_unmergeable(boxes):
     cfg = RpConfig(size_min=1, slot_r=3, slot_c=3)
-    merged = rp_update(boxes, cfg)
+    merged = rp_update(box_array(boxes), cfg)
     for a, b in itertools.combinations(merged, 2):
         assert a.row_gap(b) >= cfg.slot_r or a.col_gap(b) >= cfg.slot_c
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    boxes=st.lists(box_strategy, max_size=14),
+    size_min=st.integers(0, 20),
+    slot_r=st.integers(0, 6),
+    slot_c=st.integers(0, 6),
+    size_metric=st.sampled_from(["area", "max_side"]),
+    perm_seed=st.integers(0, 999),
+)
+@example(boxes=[], size_min=0, slot_r=0, slot_c=0, size_metric="area", perm_seed=0)
+@example(boxes=[], size_min=0, slot_r=6, slot_c=6, size_metric="max_side", perm_seed=0)
+def test_rp_update_matches_reference(boxes, size_min, slot_r, slot_c, size_metric, perm_seed):
+    """The array consolidation equals the plain Box-list one, in any input order."""
+    cfg = RpConfig(size_min=size_min, slot_r=slot_r, slot_c=slot_c, size_metric=size_metric)
+    want = reference_rp_update(boxes, cfg)
+    assert rp_update(box_array(boxes), cfg) == want
+    shuffled = [boxes[i] for i in np.random.default_rng(perm_seed).permutation(len(boxes))]
+    assert rp_update(box_array(shuffled), cfg) == want
 
 
 # --- full proposal step
