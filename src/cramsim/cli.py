@@ -10,8 +10,10 @@ Five subcommands cover the pipeline end to end:
 
 All commands accept ``--config FILE`` plus ``--section.key value``
 overrides for any known configuration key, and write their outputs
-under ``--out`` (default: current directory).  Files are written via a
-temp-and-rename so an interrupted run never leaves partial output.
+under ``--out`` (default: current directory), which is created with the
+first output file, so a command that fails its checks leaves none.
+Files are written via a temp-and-rename so an interrupted run never
+leaves partial output.
 Worker-thread count comes from the CRAM_SIM_THREADS environment
 variable; unset or 0 means one worker per CPU.
 """
@@ -54,7 +56,9 @@ def worker_count() -> int:
 
 
 def _write_bytes(path: str, data: bytes) -> None:
+    """Write data to path by temp-and-rename, creating its directory if missing."""
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -68,11 +72,6 @@ def _write_bytes(path: str, data: bytes) -> None:
 
 def _write_text(path: str, text: str) -> None:
     _write_bytes(path, text.encode("utf-8"))
-
-
-def _ensure_out(out: str) -> str:
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _pbm_names(directory: str) -> list[str]:
@@ -330,17 +329,16 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         overrides = _split_overrides(extra)
         cfg = load_config(args.config, overrides)
-        out = _ensure_out(args.out)
         if args.command == "synth":
-            return cmd_synth(cfg, out)
+            return cmd_synth(cfg, args.out)
         if args.command == "restore":
-            return cmd_restore(cfg, args.inputs, out, args.emit_analog)
+            return cmd_restore(cfg, args.inputs, args.out, args.emit_analog)
         if args.command == "propose":
-            return cmd_propose(cfg, args.inputs, out)
+            return cmd_propose(cfg, args.inputs, args.out)
         if args.command == "eval":
-            return cmd_eval(cfg, args.corpus, out)
+            return cmd_eval(cfg, args.corpus, args.out)
         if args.command == "probe":
-            return cmd_probe(cfg, out)
+            return cmd_probe(cfg, args.out)
         raise CramSimError(f"unknown command {args.command!r}")
     except CramSimError as exc:
         print(f"cram-sim: error: {exc}", file=sys.stderr)

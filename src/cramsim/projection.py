@@ -243,8 +243,6 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     """
     height, width = frame.pixels.shape
     trips = _trip_table(cfg.projection, max(height, width))
-    trace = CycleTrace()
-    trace.append(FULL_AXIS_PROJECTION)
     points = np.array(np.divmod(np.flatnonzero(frame.pixels.view(np.bool_)), width))
     whole = np.array([[0, height - 1, 0, width - 1]])
     candidates, points, owner = _project(
@@ -256,7 +254,6 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     while len(candidates) and iterations < cfg.max_iters:
         a = 2 if iterations % 2 == 1 else 0
         iterations += 1
-        trace.append_many(REGION_PROJECTION, len(candidates))
         passes.append(candidates)
         candidates, points, owner = _project(candidates, points, owner, a, trips)
         if len(candidates) == prev_count:
@@ -266,6 +263,8 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     sensed = np.concatenate(passes)
     sides = sensed[:, 1::2] - sensed[:, ::2] + 1
     order = np.lexsort(candidates.T[[3, 1, 2, 0]])  # by r0, then c0, r1, c1
+    # passes[0] is the full-axis projection; every later row is one region projection
+    trace = CycleTrace({FULL_AXIS_PROJECTION: 1, REGION_PROJECTION: len(sensed) - 1})
     return IssResult(candidates[order], iterations, trace, sides.prod(axis=1).tolist())
 
 
@@ -312,15 +311,14 @@ class ProposeResult:
 def region_propose(frame: BinaryFrame, cfg: RpConfig) -> ProposeResult:
     """Projection-phase search followed by the controller consolidation pass.
 
-    The returned trace appends one controller entry per proposal handed to
-    consolidation plus a fixed controller overhead entry.
+    The returned trace holds the search's op counts plus the controller's:
+    one controller op per proposal handed to consolidation and one fixed
+    overhead op.
     """
     found = iss(frame, cfg)
     boxes = rp_update(found.candidates, cfg)
-    trace = found.trace.copy()
-    if len(found.candidates):
-        trace.append(CONTROLLER_OBJECT, len(found.candidates))
-    trace.append(CONTROLLER_FIXED)
+    trace = CycleTrace({**found.trace.counts,
+                        CONTROLLER_OBJECT: len(found.candidates), CONTROLLER_FIXED: 1})
     return ProposeResult(boxes, trace, found)
 
 

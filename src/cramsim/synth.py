@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grid import DEFAULT_HEIGHT, DEFAULT_WIDTH, BinaryFrame
+from .grid import DEFAULT_HEIGHT, DEFAULT_WIDTH, MAX_DIM, BinaryFrame
 from .projection import Box
 
 
@@ -43,6 +43,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.width < 4 or self.height < 4:
             raise ConfigError("frame must be at least 4x4")
+        if self.width > MAX_DIM or self.height > MAX_DIM:
+            raise ConfigError(f"frame {self.width}x{self.height} exceeds {MAX_DIM}x{MAX_DIM}")
         if not 1 <= self.objects_min <= self.objects_max:
             raise ConfigError("need 1 <= objects_min <= objects_max")
         if not 1 <= self.side_min <= self.side_max:

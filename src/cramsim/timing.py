@@ -4,13 +4,14 @@ The controller's minimal execution time is linear in the object count N:
 8N+8 cycles for the in-memory phase alone and 10N+12 with controller
 bookkeeping. The per-op cycle costs are calibrated so a minimal trace
 (one full-axis projection, one region projection per object, one
-controller entry per object plus fixed overhead) reproduces both lines.
+controller op per object plus fixed overhead) reproduces both lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import ConfigError
 
@@ -33,51 +34,42 @@ CYCLES = {
 DIFFUSION_OPS_PER_CELL = 5  # 4 neighbor adds + 1 scale per cell per substep
 
 
-@dataclass
+@dataclass(frozen=True)
 class CycleTrace:
-    """Ordered record of (op_kind, count) primitive operations.
+    """How many primitive operations of each kind a run charged.
 
-    Per-kind totals are kept as entries arrive, so totals and cycle counts
-    never re-walk the entries. Add entries through the methods only.
+    Checked when built: every kind must be in CYCLES and every count an
+    int >= 0. Kinds with count 0 are dropped, the rest kept in CYCLES
+    order, so traces with the same counts compare equal.
     """
 
-    entries: list[tuple[str, int]] = field(default_factory=list)
-    _totals: dict[str, int] = field(init=False, repr=False, compare=False)
+    counts: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        entries, self.entries = self.entries, []
-        self._totals = dict.fromkeys(CYCLES, 0)
-        for kind, count in entries:
-            self.append(kind, count)
-
-    def append(self, kind: str, count: int = 1) -> None:
-        self.append_many(kind, 1, count)
-
-    def append_many(self, kind: str, times: int, count: int = 1) -> None:
-        """Append `times` identical (kind, count) entries, checking them once."""
-        if kind not in CYCLES:
-            raise ConfigError(f"unknown op kind {kind!r}")
-        if count < 1:
-            raise ConfigError(f"entry count must be >= 1, got {count}")
-        if times < 0:
-            raise ConfigError(f"entry repeat must be >= 0, got {times}")
-        self.entries.extend([(kind, count)] * times)
-        self._totals[kind] += times * count
+        for kind, count in self.counts.items():
+            if kind not in CYCLES:
+                raise ConfigError(f"unknown op kind {kind!r}")
+            if type(count) is not int or count < 0:
+                raise ConfigError(f"op count must be an int >= 0, got {count!r}")
+        nonzero = {kind: self.counts[kind] for kind in CYCLES if self.counts.get(kind)}
+        object.__setattr__(self, "counts", MappingProxyType(nonzero))
 
     def total(self, kind: str) -> int:
-        return self._totals.get(kind, 0)
+        return self.counts.get(kind, 0)
 
-    def copy(self) -> "CycleTrace":
-        """An independent trace with the same entries and totals."""
-        other = CycleTrace()
-        other.entries = list(self.entries)
-        other._totals = dict(self._totals)
-        return other
+    @property
+    def entries(self) -> list[tuple[str, int]]:
+        """The nonzero (kind, count) pairs in CYCLES order.
+
+        Only perfbench/tracer.py reads this. It goes away once the tracer
+        reads total(REGION_PROJECTION) instead (ROADMAP item 1).
+        """
+        return list(self.counts.items())
 
 
 def trace_cycles(trace: CycleTrace) -> int:
-    """Total cycles of a trace (additive over concatenated entries)."""
-    return sum(CYCLES[kind] * trace.total(kind) for kind in CYCLES)
+    """Total cycles of a trace: each kind's count times its cost, summed."""
+    return sum(CYCLES[kind] * count for kind, count in trace.counts.items())
 
 
 def minimal_cycles_imc(n_objects: int) -> int:
@@ -107,7 +99,7 @@ def cost_report(result: ProposeResult, substeps: int = 0, cells: int = 0) -> Cos
     """Modeled cost of one region_propose run and the diffusion before it.
 
     imc_cycles charges the search's array projections only; total_cycles
-    adds the controller entries. substeps counts the diffusion substeps run
+    adds the controller ops. substeps counts the diffusion substeps run
     before the search (0 for an unrestored frame) and cells the diffused
     array, dummy ring included. projection_ops counts the cells sensed by
     every projection of the search.

@@ -2,7 +2,7 @@
 
 Every candidate is refined by its own call, one block sum and one run split
 at a time. The batched search must give the same candidates, iteration count,
-trace entries and sensed cells.
+op counts and sensed cells.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ def refine(pixels: np.ndarray, cand: Box, axis: str, cfg: ProjectionConfig) -> l
 def reference_iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     """The alternating-projection search, one candidate at a time."""
     pcfg = cfg.projection
-    trace = CycleTrace()
+    regions = 0
     cells: list[int] = []
 
-    trace.append(FULL_AXIS_PROJECTION)
     cells.append(frame.width * frame.height)
     row_bits = line_trips(frame.pixels.sum(axis=1), pcfg)
     candidates = [Box(lo, hi, 0, frame.width - 1) for lo, hi in runs_from_bits(row_bits)]
@@ -63,7 +62,7 @@ def reference_iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
         iterations += 1
         refined: list[Box] = []
         for cand in candidates:
-            trace.append(REGION_PROJECTION)
+            regions += 1
             cells.append(cand.area)
             refined.extend(refine(frame.pixels, cand, axis, pcfg))
         candidates = refined
@@ -72,4 +71,5 @@ def reference_iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
         prev_count = len(candidates)
 
     boxes = sorted(candidates, key=lambda b: (b.r0, b.c0, b.r1, b.c1))
+    trace = CycleTrace({FULL_AXIS_PROJECTION: 1, REGION_PROJECTION: regions})
     return IssResult(box_array(boxes), iterations, trace, cells)

@@ -387,6 +387,27 @@ def test_exit_codes(tmp_path, monkeypatch):
     for threads in ("lots", "-1"):
         monkeypatch.setenv("CRAM_SIM_THREADS", threads)
         assert run_cli("propose", str(good), "--out", str(tmp_path)) == 2
+    monkeypatch.delenv("CRAM_SIM_THREADS")
+    big = tmp_path / "big"
+    assert run_cli("synth", "--frame.width", "4097", "--frame.height", "64",
+                   "--synth.frames", "2", "--out", str(big)) == 2
+    assert not big.exists()
+
+
+@pytest.mark.parametrize("command,code", [
+    (["synth", "--synth.frames", "0"], 2),
+    (["eval", "CORPUS", "--eval.iou_thresholds", "5"], 2),
+    (["propose", "missing.pbm"], 1),
+])
+def test_failed_command_leaves_no_out_directory(tmp_path, command, code):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "f.pbm").write_bytes(frame_to_bytes(BinaryFrame.zeros(8, 8)))
+    (corpus / "f.gt.json").write_text("[]\n")
+    argv = [str(corpus) if arg == "CORPUS" else arg for arg in command]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == code
+    assert not out.exists()
 
 
 def test_propose_skips_directory_named_pbm(tmp_path):

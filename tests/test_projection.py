@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import box_array, frame_of
-from iss_reference import reference_iss, runs_from_bits
+from iss_reference import reference_iss, refine, runs_from_bits
 from rp_reference import reference_rp_update
 from cramsim.config import RunConfig
 from cramsim.errors import ConfigError
@@ -228,6 +228,41 @@ def test_iss_iteration_cap():
     assert len(res.boxes) == 3 or len(res.boxes) == 2
 
 
+def _short_count_stops(frames: list[BinaryFrame], cfg: RpConfig) -> tuple[int, int]:
+    """(searches stopped by the count rule, those whose boxes another pass would change)."""
+    stopped = short = 0
+    for f in frames:
+        res = iss(f, cfg)
+        if not len(res.candidates) or res.iterations == cfg.max_iters:
+            continue
+        stopped += 1
+        boxes = set(res.boxes)  # candidates are disjoint, so no box repeats
+        for axis in ("rows", "cols"):
+            if {b for box in boxes for b in refine(f.pixels, box, axis, cfg.projection)} != boxes:
+                short += 1
+                break
+    return stopped, short
+
+
+def test_count_stop_is_a_fixpoint_except_at_two_pixel_codes():
+    """The search stops when the candidate count repeats, not when the boxes do.
+
+    Where one enabled 1 trips a line (codes 0-11) that stop is a fixpoint:
+    one more row or column pass changes no box. Codes 12-14 need two 1s per
+    line, and a few searches stop short there. Code 15 never trips a line.
+    """
+    rng = np.random.default_rng(0)
+    frames = []
+    for _ in range(100):
+        density = rng.uniform(0.05, 0.5)
+        frames.append(BinaryFrame((rng.random((24, 24)) < density).astype(np.uint8)))
+    got = {code: _short_count_stops(frames, RpConfig(projection=ProjectionConfig(dac_code=code)))
+           for code in range(DAC_MAX + 1)}
+    want = {code: (100, 0) for code in range(12)}
+    want.update({12: (83, 8), 13: (83, 8), 14: (83, 8), 15: (0, 0)})
+    assert got == want
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_iss_boxes_cover_all_ones(data):
@@ -254,7 +289,7 @@ def assert_same_search(frame: BinaryFrame, cfg: RpConfig) -> None:
     assert (got.candidates == want.candidates).all()
     assert got.boxes == want.boxes
     assert got.iterations == want.iterations
-    assert got.trace.entries == want.trace.entries
+    assert got.trace == want.trace
     assert got.projection_cells == want.projection_cells
 
 
@@ -441,6 +476,7 @@ def test_region_propose_empty_frame_has_no_object_entries():
     res = region_propose(BinaryFrame.zeros(8, 8), RpConfig())
     assert res.boxes == []
     assert res.trace.total(CONTROLLER_OBJECT) == 0
+    assert res.trace.entries == [(FULL_AXIS_PROJECTION, 1), (CONTROLLER_FIXED, 1)]
     assert trace_cycles(res.trace) == 12
 
 

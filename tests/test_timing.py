@@ -1,5 +1,8 @@
 """Cycle accounting and operation counts."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from cramsim.errors import ConfigError
@@ -29,41 +32,42 @@ def test_default_costs():
     }
 
 
-def test_trace_append_validates():
-    tr = CycleTrace()
-    tr.append(FULL_AXIS_PROJECTION)
-    tr.append(REGION_PROJECTION, 3)
-    tr.append_many(REGION_PROJECTION, 2)
-    tr.append_many(CONTROLLER_OBJECT, 0)
-    with pytest.raises(ConfigError):
-        tr.append("warp_drive")
-    with pytest.raises(ConfigError):
-        tr.append(REGION_PROJECTION, 0)
-    with pytest.raises(ConfigError):
-        tr.append_many(REGION_PROJECTION, -1)
-    with pytest.raises(ConfigError):
-        tr.append_many(REGION_PROJECTION, 2, count=0)
-    assert tr.entries == [(FULL_AXIS_PROJECTION, 1), (REGION_PROJECTION, 3)] + [
-        (REGION_PROJECTION, 1)] * 2
+def test_trace_keeps_nonzero_counts_in_cycles_order():
+    tr = CycleTrace({CONTROLLER_OBJECT: 0, REGION_PROJECTION: 5, FULL_AXIS_PROJECTION: 1})
+    assert dict(tr.counts) == {FULL_AXIS_PROJECTION: 1, REGION_PROJECTION: 5}
+    assert tr.entries == [(FULL_AXIS_PROJECTION, 1), (REGION_PROJECTION, 5)]
     assert tr.total(REGION_PROJECTION) == 5
-    assert tr.total(FULL_AXIS_PROJECTION) == 1
+    assert tr.total(CONTROLLER_OBJECT) == 0
     assert tr.total("warp_drive") == 0
+    assert tr == CycleTrace({REGION_PROJECTION: 5, FULL_AXIS_PROJECTION: 1})
+    assert CycleTrace() == CycleTrace({CONTROLLER_FIXED: 0})
+    assert trace_cycles(CycleTrace()) == 0
+    with pytest.raises(TypeError):
+        tr.counts[REGION_PROJECTION] = 6
+    with pytest.raises(AttributeError):
+        tr.counts = {}
+
+
+@pytest.mark.parametrize("counts", [
+    {"warp_drive": 1},
+    {REGION_PROJECTION: -1},
+    {REGION_PROJECTION: 1.0},
+    {REGION_PROJECTION: True},
+    {REGION_PROJECTION: np.int64(2)},
+])
+def test_trace_rejects_bad_counts(counts):
     with pytest.raises(ConfigError):
-        CycleTrace([("warp_drive", 1)])
+        CycleTrace(counts)
 
 
-def test_trace_cycles_and_concat():
-    a = CycleTrace()
-    a.append(FULL_AXIS_PROJECTION)
-    b = CycleTrace()
-    b.append(REGION_PROJECTION, 2)
-    b.append(CONTROLLER_FIXED)
-    both = CycleTrace(a.entries + b.entries)
-    assert trace_cycles(both) == trace_cycles(a) + trace_cycles(b) == 8 + 16 + 4
-    grown = both.copy()
-    grown.append(CONTROLLER_OBJECT, 5)
-    assert trace_cycles(both) == 28 and trace_cycles(grown) == 38
-    assert both.entries == a.entries + b.entries
+def test_trace_cycles_is_additive():
+    a = CycleTrace({FULL_AXIS_PROJECTION: 1, REGION_PROJECTION: 3})
+    b = CycleTrace({REGION_PROJECTION: 2, CONTROLLER_OBJECT: 5, CONTROLLER_FIXED: 1})
+    both = CycleTrace(Counter(a.counts) + Counter(b.counts))
+    assert both.total(REGION_PROJECTION) == 5
+    assert trace_cycles(a) == 8 + 3 * 8
+    assert trace_cycles(b) == 2 * 8 + 5 * 2 + 4
+    assert trace_cycles(both) == trace_cycles(a) + trace_cycles(b)
 
 
 @pytest.mark.parametrize(
