@@ -11,7 +11,8 @@ Five subcommands cover the pipeline end to end:
 All commands accept ``--config FILE`` plus ``--section.key value``
 overrides for any known configuration key, and write their outputs
 under ``--out`` (default: current directory), which is created with the
-first output file, so a command that fails its checks leaves none.
+first output file, so a command that fails its checks leaves none; an
+``--out`` that names an existing non-directory fails before any work.
 Files are written via a temp-and-rename so an interrupted run never
 leaves partial output.
 Worker-thread count comes from the CRAM_SIM_THREADS environment
@@ -21,6 +22,7 @@ variable; unset or 0 means one worker per CPU.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -28,6 +30,7 @@ import tempfile
 
 from .config import RunConfig, known_keys, load_config
 from .diffusion import (
+    _check_max_ones,
     apply_pulses,
     blank_frame_detect,
     probe_diffusion_speed,
@@ -135,16 +138,14 @@ def cmd_synth(cfg: RunConfig, out: str) -> int:
 def cmd_restore(cfg: RunConfig, inputs: list[str], out: str, emit_analog: bool) -> int:
     paths = _collect_pbm_inputs(inputs)
     dcfg = cfg.diffusion_config()
+    _check_max_ones(cfg.blank_max_ones)
 
     def one(path: str) -> tuple[str, bool]:
-        frame = load_frame(path)
         stem = _stem(path)
+        state = apply_pulses(load_frame(path), dcfg, ring=cfg.frame_ring)
+        restored = threshold_restore(state, dcfg.vth)
         if emit_analog:
-            state = apply_pulses(frame, dcfg, ring=cfg.frame_ring)
-            restored = threshold_restore(state, dcfg.vth)
             _write_bytes(os.path.join(out, stem + ".analog.pgm"), analog_to_bytes(state))
-        else:
-            restored = restore_image(frame, dcfg, ring=cfg.frame_ring)
         _write_bytes(os.path.join(out, stem + ".restored.pbm"), frame_to_bytes(restored))
         return stem, blank_frame_detect(restored, max_ones=cfg.blank_max_ones)
 
@@ -329,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         overrides = _split_overrides(extra)
         cfg = load_config(args.config, overrides)
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.out)
         if args.command == "synth":
             return cmd_synth(cfg, args.out)
         if args.command == "restore":

@@ -135,6 +135,13 @@ class _Stencil:
             cur, nxt = nxt, cur
         self._cur, self._nxt = cur, nxt
 
+    def state(self, ring: int) -> AnalogState:
+        """The voltages as an AnalogState in the idle buffer; the stencil must not run again."""
+        grid = self.grid
+        packed = self._nxt[:grid.size].reshape(grid.shape)
+        packed[...] = grid
+        return AnalogState(packed, ring)
+
     def redigitize(self, ring: int, vth: float) -> None:
         """Threshold the interior back to bits and zero the ring, like a re-embed."""
         inner = _interior(self.grid, ring)
@@ -157,10 +164,6 @@ def _embed(pixels: np.ndarray, ring: int) -> _Stencil:
     return stencil
 
 
-def _threshold(volts: np.ndarray, vth: float) -> BinaryFrame:
-    return BinaryFrame((volts > vth).astype(np.uint8))
-
-
 def diffuse_substep(state: AnalogState, coupling: float) -> AnalogState:
     """One explicit diffusion substep over every cell, ring included.
 
@@ -176,25 +179,14 @@ def diffuse_substep(state: AnalogState, coupling: float) -> AnalogState:
     stencil = _Stencil(*state.volts.shape)
     stencil.grid[...] = state.volts
     stencil.run(coupling, 1)
-    return AnalogState(stencil.grid, state.ring)
+    return stencil.state(state.ring)
 
 
 def threshold_restore(state: AnalogState, vth: float) -> BinaryFrame:
     """Re-digitize the interior: pixel = 1 iff voltage strictly exceeds vth."""
     if not 0.0 < vth < 1.0:
         raise ConfigError(f"vth must be in (0, 1), got {vth}")
-    return _threshold(state.interior(), vth)
-
-
-def _pulse_train(frame: BinaryFrame, cfg: DiffusionConfig, ring: int) -> _Stencil:
-    stencil = _embed(frame.pixels, ring)
-    c = cfg.coupling
-    for pulse in range(cfg.pulses):
-        if c > 0.0:
-            stencil.run(c, cfg.substeps_per_pulse)
-        if cfg.redigitize_between_pulses and pulse < cfg.pulses - 1:
-            stencil.redigitize(ring, cfg.vth)
-    return stencil
+    return BinaryFrame((state.interior() > vth).astype(np.uint8))
 
 
 def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> AnalogState:
@@ -204,7 +196,14 @@ def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> Ana
     the ring zeroed, exactly as a store-and-restart would.
     amplitude == 0 means no conduction: the embedded state passes through.
     """
-    return AnalogState(_pulse_train(frame, cfg, ring).grid, ring)
+    stencil = _embed(frame.pixels, ring)
+    c = cfg.coupling
+    for pulse in range(cfg.pulses):
+        if c > 0.0:
+            stencil.run(c, cfg.substeps_per_pulse)
+        if cfg.redigitize_between_pulses and pulse < cfg.pulses - 1:
+            stencil.redigitize(ring, cfg.vth)
+    return stencil.state(ring)
 
 
 def restore_image(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> BinaryFrame:
@@ -213,13 +212,17 @@ def restore_image(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> Bi
     At the default config this removes every 4-isolated 1-pixel and fills any
     fully enclosed single-pixel hole in a solid block of 5x5 or larger.
     """
-    return _threshold(_interior(_pulse_train(frame, cfg, ring).grid, ring), cfg.vth)
+    return threshold_restore(apply_pulses(frame, cfg, ring), cfg.vth)
+
+
+def _check_max_ones(max_ones: int) -> None:
+    if max_ones < 0:
+        raise ConfigError(f"blank max_ones must be >= 0, got {max_ones}")
 
 
 def blank_frame_detect(frame: BinaryFrame, max_ones: int = 0) -> bool:
     """True iff the frame holds at most max_ones set pixels."""
-    if max_ones < 0:
-        raise ConfigError(f"blank max_ones must be >= 0, got {max_ones}")
+    _check_max_ones(max_ones)
     return frame.popcount() <= max_ones
 
 

@@ -94,10 +94,6 @@ class Box:
     def col_gap(self, other: "Box") -> int:
         return _interval_gap(self.c0, self.c1, other.c0, other.c1)
 
-    def to_json_obj(self) -> dict[str, int]:
-        # JSON naming is x/y with x = column
-        return {"x0": self.c0, "y0": self.r0, "x1": self.c1, "y1": self.r1}
-
     @classmethod
     def from_json_obj(cls, obj: dict[str, int]) -> "Box":
         """Box from its JSON object; a malformed object raises InputError."""
@@ -271,32 +267,23 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
 def rp_update(new_boxes: np.ndarray, cfg: RpConfig) -> list[Box]:
     """Consolidate proposals: size-filter, then merge near boxes to a fixpoint.
 
-    new_boxes holds one row [r0, r1, c0, c1] per proposal. Boxes smaller than
-    size_min are dropped as noise. Any two boxes whose row gap is under slot_r
-    AND column gap under slot_c (strict; overlapping extents gap 0) merge into
-    their bounding union, repeatedly, until stable. Merging only grows boxes
-    and shrinks gaps, so the fixpoint is unique and the result is independent
-    of input order.
+    new_boxes holds one row [r0, r1, c0, c1] per proposal; boxes under size_min
+    are dropped as noise. Boxes are near when the row gap is under slot_r AND
+    the column gap under slot_c (strict; overlap gaps 0). Each box absorbs every
+    near box of the merged list, checks again, and joins it once none is near.
+    Merging only grows boxes and shrinks gaps, so the fixpoint is unique.
     """
     sides = new_boxes[:, 1::2] - new_boxes[:, ::2] + 1  # heights, widths
     size = sides.max(axis=1) if cfg.size_metric == "max_side" else sides.prod(axis=1)
-    kept = new_boxes[size >= cfg.size_min]
-    boxes = sorted((Box(*row) for row in kept.tolist()), key=_sort_key)
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                a, b = boxes[i], boxes[j]
-                if a.row_gap(b) < cfg.slot_r and a.col_gap(b) < cfg.slot_c:
-                    boxes[i] = a.union(b)
-                    del boxes[j]
-                    boxes.sort(key=_sort_key)
-                    merged = True
-                    break
-            if merged:
-                break
-    return boxes
+    merged: list[Box] = []
+    for box in (Box(*row) for row in new_boxes[size >= cfg.size_min].tolist()):
+        while near := [b for b in merged
+                       if box.row_gap(b) < cfg.slot_r and box.col_gap(b) < cfg.slot_c]:
+            for b in near:
+                box = box.union(b)
+                merged.remove(b)
+        merged.append(box)
+    return sorted(merged, key=_sort_key)
 
 
 @dataclass
@@ -323,9 +310,11 @@ def region_propose(frame: BinaryFrame, cfg: RpConfig) -> ProposeResult:
 
 
 def boxes_to_json(boxes: Sequence[Box]) -> str:
-    """Serialize boxes sorted by (y0, x0) as a JSON array of x/y extents."""
-    ordered = sorted(boxes, key=_sort_key)
-    return json.dumps([b.to_json_obj() for b in ordered], indent=2) + "\n"
+    """Boxes sorted by (y0, x0) as a JSON array of x/y extents, in indent=2 layout."""
+    body = ",\n".join(f'  {{\n    "x0": {b.c0},\n    "y0": {b.r0},\n'
+                      f'    "x1": {b.c1},\n    "y1": {b.r1}\n  }}'
+                      for b in sorted(boxes, key=_sort_key))
+    return f"[\n{body}\n]\n" if body else "[]\n"
 
 
 def boxes_from_json(text: str) -> list[Box]:

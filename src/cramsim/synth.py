@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import DEFAULT_HEIGHT, DEFAULT_WIDTH, MAX_DIM, BinaryFrame
-from .projection import Box
+from .projection import Box, _sort_key
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,8 @@ class SynthConfig:
             raise ConfigError("noise_density must be in [0, 1]")
         if self.fragment_gap < 0:
             raise ConfigError("fragment_gap must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -108,7 +110,7 @@ def generate_scene(cfg: SynthConfig, seed: int | None = None) -> Scene:
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     n = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
     boxes = _place(rng, 0, cfg.height - 1, 0, cfg.width - 1, n, cfg)
-    boxes.sort(key=lambda b: (b.r0, b.c0, b.r1, b.c1))
+    boxes.sort(key=_sort_key)
 
     clean = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
     for b in boxes:

@@ -398,6 +398,8 @@ def test_exit_codes(tmp_path, monkeypatch):
     (["synth", "--synth.frames", "0"], 2),
     (["eval", "CORPUS", "--eval.iou_thresholds", "5"], 2),
     (["propose", "missing.pbm"], 1),
+    (["synth", "--synth.seed", "-1"], 2),
+    (["restore", "CORPUS", "--blank.max_ones", "-1"], 2),
 ])
 def test_failed_command_leaves_no_out_directory(tmp_path, command, code):
     corpus = tmp_path / "corpus"
@@ -420,18 +422,32 @@ def test_propose_skips_directory_named_pbm(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["a.boxes.json", "cycles.csv"]
 
 
-@pytest.mark.parametrize("case", ["only_pbm_is_directory", "out_is_a_file"])
-def test_unusable_paths_fail_with_one_error_line(tmp_path, capsys, case):
+@pytest.mark.parametrize("case", ["only_pbm_is_directory", "out_is_a_file",
+                                  "eval_out_is_a_file", "synth_out_is_a_file"])
+def test_unusable_paths_fail_with_one_error_line(tmp_path, capsys, monkeypatch, case):
+    from cramsim import cli, synth
+
     frames = tmp_path / "frames"
     frames.mkdir()
     out = tmp_path / "out"
+    argv = {"eval_out_is_a_file": ["eval", str(frames)],
+            "synth_out_is_a_file": ["synth"]}.get(case, ["propose", str(frames)])
     if case == "only_pbm_is_directory":
         (frames / "d.pbm").mkdir()
     else:
         (frames / "a.pbm").write_bytes(frame_to_bytes(BinaryFrame.zeros(8, 8)))
+        (frames / "a.gt.json").write_text("[]\n")
         out.write_text("not a directory\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before checking --out")
+
+        # an --out that is a regular file fails before any frame is made or run
+        monkeypatch.setattr(cli, "_map_frames", no_work)
+        monkeypatch.setattr(cli, "evaluate", no_work)
+        monkeypatch.setattr(synth, "generate_corpus", no_work)
     capsys.readouterr()
-    assert run_cli("propose", str(frames), "--out", str(out)) == 1
+    assert run_cli(*argv, "--out", str(out)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("cram-sim: error: ")
 

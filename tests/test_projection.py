@@ -1,6 +1,7 @@
 """Projection readout, the alternating refinement search, and box consolidation."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -151,6 +152,20 @@ def test_boxes_json_roundtrip_and_order():
     back = boxes_from_json(text)
     assert back == sorted(boxes, key=lambda b: (b.r0, b.c0, b.r1, b.c1))
     assert '"x0"' in text and '"y0"' in text and text.endswith("\n")
+
+
+json_box_strategy = st.tuples(*[st.integers(0, 5000)] * 4).map(
+    lambda t: Box(min(t[:2]), max(t[:2]), min(t[2:]), max(t[2:])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes=st.lists(json_box_strategy, max_size=12))
+@example(boxes=[])
+def test_boxes_to_json_matches_json_dumps(boxes):
+    """The writer's text is byte-equal to the json module's indent=2 layout."""
+    ordered = sorted(boxes, key=lambda b: (b.r0, b.c0, b.r1, b.c1))
+    objs = [{"x0": b.c0, "y0": b.r0, "x1": b.c1, "y1": b.r1} for b in ordered]
+    assert boxes_to_json(boxes) == json.dumps(objs, indent=2) + "\n"
 
 
 # --- iterative search
@@ -373,6 +388,19 @@ def test_rp_update_chain_merge_reaches_fixpoint():
     boxes = [Box(0, 3, 0 + 6 * i, 3 + 6 * i) for i in range(4)]  # gaps of 2
     cfg = RpConfig(size_min=1, slot_r=4, slot_c=4)
     assert rp_update(box_array(boxes), cfg) == [Box(0, 3, 0, 21)]
+
+
+@pytest.mark.parametrize("corner_first", [True, False])
+def test_rp_update_union_reaches_box_neither_part_reaches(corner_first):
+    """A merged box checks again for near boxes, whatever the arrival order."""
+    a = Box(0, 3, 0, 3)
+    b = Box(6, 9, 6, 9)  # row and column gaps 2 from a
+    corner = Box(0, 1, 8, 9)  # column gap 4 from a, row gap 4 from b, inside a | b
+    cfg = RpConfig(size_min=1, slot_r=3, slot_c=3)
+    assert corner.col_gap(a) >= cfg.slot_c and corner.row_gap(b) >= cfg.slot_r
+    boxes = [corner, a, b] if corner_first else [a, b, corner]
+    assert rp_update(box_array(boxes), cfg) == [Box(0, 9, 0, 9)]
+    assert reference_rp_update(boxes, cfg) == [Box(0, 9, 0, 9)]
 
 
 def test_rp_update_size_filter_area_vs_max_side():

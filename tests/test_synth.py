@@ -110,6 +110,8 @@ def test_config_validation():
         SynthConfig(band_min=0)
     with pytest.raises(ConfigError):
         SynthConfig(fragment_gap=-1)
+    with pytest.raises(ConfigError):
+        SynthConfig(seed=-1)
 
 
 def test_scene_dataclass_shape():
