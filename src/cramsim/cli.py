@@ -142,8 +142,8 @@ def cmd_restore(cfg: RunConfig, inputs: list[str], out: str, emit_analog: bool) 
 
     def one(path: str) -> tuple[str, bool]:
         stem = _stem(path)
-        state = apply_pulses(load_frame(path), dcfg, ring=cfg.frame_ring)
-        restored = threshold_restore(state, dcfg.vth)
+        state = apply_pulses(load_frame(path), dcfg)
+        restored = threshold_restore(state, dcfg)
         if emit_analog:
             _write_bytes(os.path.join(out, stem + ".analog.pgm"), analog_to_bytes(state))
         _write_bytes(os.path.join(out, stem + ".restored.pbm"), frame_to_bytes(restored))
@@ -169,9 +169,9 @@ def cmd_propose(cfg: RunConfig, inputs: list[str], out: str) -> int:
     def one(path: str) -> str:
         frame = load_frame(path)
         if cfg.propose_restore:
-            frame = restore_image(frame, dcfg, ring=cfg.frame_ring)
+            frame = restore_image(frame, dcfg)
         res = region_propose(frame, rp)
-        cells = (frame.height + 2 * cfg.frame_ring) * (frame.width + 2 * cfg.frame_ring)
+        cells = (frame.height + 2 * dcfg.ring) * (frame.width + 2 * dcfg.ring)
         stem = _stem(path)
         _write_text(os.path.join(out, stem + ".boxes.json"), boxes_to_json(res.boxes))
         return ",".join(map(str, (stem, len(res.boxes), *cost_report(res, substeps, cells))))
@@ -250,9 +250,7 @@ def cmd_probe(cfg: RunConfig, out: str) -> int:
     dcfg = cfg.diffusion_config()
     lines = ["location,steps"]
     for location in ("center", "corner"):
-        res = probe_diffusion_speed(
-            cfg.frame_width, cfg.frame_height, location, dcfg, ring=cfg.frame_ring,
-        )
+        res = probe_diffusion_speed(cfg.frame_width, cfg.frame_height, location, dcfg)
         lines.append(f"{res.location},{res.steps_to_threshold}")
     _write_text(os.path.join(out, "probe.csv"), "\n".join(lines) + "\n")
     print(f"probe results in {out}/probe.csv")

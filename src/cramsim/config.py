@@ -65,7 +65,7 @@ class RunConfig:
 
     frame_width: int = DEFAULT_WIDTH
     frame_height: int = DEFAULT_HEIGHT
-    frame_ring: int = EvalPipeline.ring
+    frame_ring: int = DiffusionConfig.ring
     blank_max_ones: int = 0
     alpha: float = DiffusionConfig.alpha
     substeps_per_pulse: int = DiffusionConfig.substeps_per_pulse
@@ -101,7 +101,7 @@ class RunConfig:
         return component(**{name: getattr(self, name) for name in _SHARED[component]}, **extra)
 
     def diffusion_config(self) -> DiffusionConfig:
-        return self._pick(DiffusionConfig)
+        return self._pick(DiffusionConfig, ring=self.frame_ring)
 
     def rp_config(self) -> RpConfig:
         return self._pick(RpConfig, projection=self._pick(ProjectionConfig))
@@ -113,7 +113,6 @@ class RunConfig:
         return EvalPipeline(
             diffusion=self.diffusion_config(),
             rp=self.rp_config(),
-            ring=self.frame_ring,
             restore=self.pipeline_restore,
             consolidate=self.pipeline_consolidate,
         )

@@ -17,7 +17,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ConfigError, GuardError
-from .grid import AnalogState, BinaryFrame
+from .grid import MAX_DIM, AnalogState, BinaryFrame
 
 MAX_PROBE_SUBSTEPS = 10**6
 
@@ -34,6 +34,7 @@ class DiffusionConfig:
     pulses: number of enable pulses.
     vth: inverter switching threshold in (0, 1).
     redigitize_between_pulses: threshold back to {0,1} between pulses.
+    ring: width of the grounded dummy ring around the frame, in [0, MAX_DIM].
     """
 
     alpha: float = 0.2
@@ -42,6 +43,7 @@ class DiffusionConfig:
     pulses: int = 1
     vth: float = 0.5
     redigitize_between_pulses: bool = True
+    ring: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= STABILITY_LIMIT:
@@ -59,6 +61,8 @@ class DiffusionConfig:
             raise ConfigError("pulses must be >= 1")
         if not 0.0 < self.vth < 1.0:
             raise ConfigError(f"vth must be in (0, 1), got {self.vth}")
+        if not 0 <= self.ring <= MAX_DIM:
+            raise ConfigError(f"ring must be in [0, {MAX_DIM}], got {self.ring}")
 
     @property
     def coupling(self) -> float:
@@ -156,8 +160,6 @@ def _interior(grid: np.ndarray, ring: int) -> np.ndarray:
 
 def _embed(pixels: np.ndarray, ring: int) -> _Stencil:
     """A stencil holding the frame's pixels inside a ring of zeros."""
-    if ring < 0:
-        raise ConfigError("ring width must be >= 0")
     h, w = pixels.shape
     stencil = _Stencil(h + 2 * ring, w + 2 * ring)
     _interior(stencil.grid, ring)[...] = pixels
@@ -182,37 +184,35 @@ def diffuse_substep(state: AnalogState, coupling: float) -> AnalogState:
     return stencil.state(state.ring)
 
 
-def threshold_restore(state: AnalogState, vth: float) -> BinaryFrame:
-    """Re-digitize the interior: pixel = 1 iff voltage strictly exceeds vth."""
-    if not 0.0 < vth < 1.0:
-        raise ConfigError(f"vth must be in (0, 1), got {vth}")
-    return BinaryFrame((state.interior() > vth).astype(np.uint8))
+def threshold_restore(state: AnalogState, cfg: DiffusionConfig) -> BinaryFrame:
+    """Re-digitize the interior: pixel = 1 iff voltage strictly exceeds cfg.vth."""
+    return BinaryFrame((state.interior() > cfg.vth).astype(np.uint8))
 
 
-def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> AnalogState:
+def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig) -> AnalogState:
     """Run the configured pulse train on a frame; the final pulse stays analog.
 
     Between pulses (when enabled) the interior is thresholded back to bits and
     the ring zeroed, exactly as a store-and-restart would.
     amplitude == 0 means no conduction: the embedded state passes through.
     """
-    stencil = _embed(frame.pixels, ring)
+    stencil = _embed(frame.pixels, cfg.ring)
     c = cfg.coupling
     for pulse in range(cfg.pulses):
         if c > 0.0:
             stencil.run(c, cfg.substeps_per_pulse)
         if cfg.redigitize_between_pulses and pulse < cfg.pulses - 1:
-            stencil.redigitize(ring, cfg.vth)
-    return stencil.state(ring)
+            stencil.redigitize(cfg.ring, cfg.vth)
+    return stencil.state(cfg.ring)
 
 
-def restore_image(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> BinaryFrame:
+def restore_image(frame: BinaryFrame, cfg: DiffusionConfig) -> BinaryFrame:
     """Full restoration: pulse train, then inverter re-digitization at cfg.vth.
 
     At the default config this removes every 4-isolated 1-pixel and fills any
     fully enclosed single-pixel hole in a solid block of 5x5 or larger.
     """
-    return threshold_restore(apply_pulses(frame, cfg, ring), cfg.vth)
+    return threshold_restore(apply_pulses(frame, cfg), cfg)
 
 
 def _check_max_ones(max_ones: int) -> None:
@@ -231,7 +231,6 @@ def probe_diffusion_speed(
     grid_h: int,
     location: Literal["center", "corner"],
     cfg: DiffusionConfig,
-    ring: int = 1,
 ) -> ProbeResult:
     """Write a 4x4 blob of 1s into an all-zero grid and watch it dissipate.
 
@@ -245,14 +244,16 @@ def probe_diffusion_speed(
         raise ConfigError(f"unknown probe location {location!r}")
     if grid_w < 4 or grid_h < 4:
         raise ConfigError(f"4x4 blob does not fit in {grid_w}x{grid_h}")
+    if grid_w > MAX_DIM or grid_h > MAX_DIM:
+        raise ConfigError(f"frame {grid_w}x{grid_h} exceeds {MAX_DIM}x{MAX_DIM}")
     if location == "center":
         r0, c0 = (grid_h - 4) // 2, (grid_w - 4) // 2
     else:
         r0, c0 = 0, 0
     pixels = np.zeros((grid_h, grid_w))
     pixels[r0:r0 + 4, c0:c0 + 4] = 1.0
-    stencil = _embed(pixels, ring)
-    blob = (slice(ring + r0, ring + r0 + 4), slice(ring + c0, ring + c0 + 4))
+    stencil = _embed(pixels, cfg.ring)
+    blob = (slice(cfg.ring + r0, cfg.ring + r0 + 4), slice(cfg.ring + c0, cfg.ring + c0 + 4))
     c = cfg.coupling
     if c <= 0.0:
         raise GuardError(f"{location} probe cannot settle: zero diffusion amplitude")

@@ -80,14 +80,6 @@ class AnalogState:
             raise ValueError("voltages must lie in [0, 1]")
         self.volts = v
 
-    @property
-    def width(self) -> int:
-        return self.volts.shape[1] - 2 * self.ring
-
-    @property
-    def height(self) -> int:
-        return self.volts.shape[0] - 2 * self.ring
-
     def interior(self) -> np.ndarray:
         """View of the addressable (non-ring) cells."""
         r = self.ring

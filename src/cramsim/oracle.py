@@ -202,13 +202,12 @@ class EvalPipeline:
 
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
     rp: RpConfig = field(default_factory=RpConfig)
-    ring: int = 1
     restore: bool = True
     consolidate: bool = True
 
     def propose(self, frame: BinaryFrame) -> list[Box]:
         if self.restore:
-            frame = restore_image(frame, self.diffusion, self.ring)
+            frame = restore_image(frame, self.diffusion)
         if self.consolidate:
             return region_propose(frame, self.rp).boxes
         return iss(frame, self.rp).boxes

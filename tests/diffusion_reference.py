@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cramsim.diffusion import DiffusionConfig, threshold_restore
+from cramsim.diffusion import DiffusionConfig
 from cramsim.errors import ConfigError
 from cramsim.grid import AnalogState, BinaryFrame
 
@@ -43,8 +43,12 @@ def substep(state: AnalogState, coupling: float) -> AnalogState:
     return AnalogState(out, state.ring)
 
 
+def threshold(state: AnalogState, vth: float) -> BinaryFrame:
+    return BinaryFrame((state.interior() > vth).astype(np.uint8))
+
+
 def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> AnalogState:
-    """The pulse train, one substep and one state at a time."""
+    """The pulse train at an explicit ring width, one substep and one state at a time."""
     state = embed(frame, ring)
     c = cfg.coupling
     for pulse in range(cfg.pulses):
@@ -52,9 +56,9 @@ def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> Ana
             for _ in range(cfg.substeps_per_pulse):
                 state = substep(state, c)
         if cfg.redigitize_between_pulses and pulse < cfg.pulses - 1:
-            state = embed(threshold_restore(state, cfg.vth), ring)
+            state = embed(threshold(state, cfg.vth), ring)
     return state
 
 
 def restore_image(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> BinaryFrame:
-    return threshold_restore(apply_pulses(frame, cfg, ring), cfg.vth)
+    return threshold(apply_pulses(frame, cfg, ring), cfg.vth)

@@ -400,15 +400,23 @@ def test_exit_codes(tmp_path, monkeypatch):
     (["propose", "missing.pbm"], 1),
     (["synth", "--synth.seed", "-1"], 2),
     (["restore", "CORPUS", "--blank.max_ones", "-1"], 2),
+    (["restore", "CORPUS", "--frame.ring", "100000"], 2),
+    (["eval", "CORPUS", "--frame.ring", "100000"], 2),
+    (["propose", "CORPUS", "--propose.restore", "true", "--frame.ring", "100000"], 2),
+    (["probe", "--frame.ring", "100000"], 2),
+    (["probe", "--frame.width", "100000", "--frame.height", "100000"], 2),
 ])
-def test_failed_command_leaves_no_out_directory(tmp_path, command, code):
+def test_failed_command_leaves_no_out_directory(tmp_path, capsys, command, code):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "f.pbm").write_bytes(frame_to_bytes(BinaryFrame.zeros(8, 8)))
     (corpus / "f.gt.json").write_text("[]\n")
     argv = [str(corpus) if arg == "CORPUS" else arg for arg in command]
     out = tmp_path / "out"
+    capsys.readouterr()
     assert run_cli(*argv, "--out", str(out)) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cram-sim: error: ")
     assert not out.exists()
 
 

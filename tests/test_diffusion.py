@@ -1,5 +1,7 @@
 """Charge-sharing dynamics: one independent reference model plus frozen cases."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,10 +70,11 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 def assert_matches_reference(frame: BinaryFrame, cfg: DiffusionConfig, ring: int) -> None:
     before = frame.pixels.copy()
     want = reference.apply_pulses(frame, cfg, ring)
-    got = apply_pulses(frame, cfg, ring)
+    ringed = replace(cfg, ring=ring)
+    got = apply_pulses(frame, ringed)
     assert got.ring == ring
     assert_same_bits(got.volts, want.volts)
-    assert_same_bits(restore_image(frame, cfg, ring).pixels,
+    assert_same_bits(restore_image(frame, ringed).pixels,
                      reference.restore_image(frame, cfg, ring).pixels)
     assert np.array_equal(frame.pixels, before)
 
@@ -198,7 +201,7 @@ def test_config_validation():
 
 def test_threshold_is_strictly_greater():
     volts = np.array([[0.5, 0.500001], [0.499999, 1.0]])
-    f = threshold_restore(AnalogState(volts, ring=0), vth=0.5)
+    f = threshold_restore(AnalogState(volts, ring=0), DiffusionConfig(vth=0.5))
     assert f.pixels.tolist() == [[0, 1], [0, 1]]
 
 

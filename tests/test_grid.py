@@ -58,7 +58,6 @@ def test_embed_puts_pixels_inside_zero_ring():
     assert state.volts.shape == (2 + 4, 3 + 4)
     assert state.interior()[0, 1] == 1.0
     assert state.volts.sum() == 1.0
-    assert (state.width, state.height) == (3, 2)
 
 
 # --- PBM round trips
