@@ -10,7 +10,7 @@ the simulated array, so total charge is conserved.
 
 from __future__ import annotations
 
-import functools
+import threading
 from dataclasses import dataclass
 from typing import Literal
 
@@ -77,25 +77,6 @@ class ProbeResult:
     steps_to_threshold: int
 
 
-@functools.lru_cache(maxsize=16)
-def _neighbor_counts(rows: int, cols: int) -> np.ndarray:
-    """Read-only in-grid neighbor count of each cell of a rows x cols grid.
-
-    Flat and laid out like rows 1..rows of a :class:`_Stencil` buffer: the
-    two border columns of each row hold 0.
-    """
-    k = np.zeros((rows, cols + 2))
-    cells = k[:, 1:-1]
-    cells += 4.0
-    cells[0, :] -= 1.0
-    cells[-1, :] -= 1.0
-    cells[:, 0] -= 1.0
-    cells[:, -1] -= 1.0
-    k = k.ravel()
-    k.flags.writeable = False
-    return k
-
-
 class _Stencil:
     """Double buffer that diffuses a rows x cols grid, dummy ring included.
 
@@ -104,14 +85,22 @@ class _Stencil:
     at offsets -wp, +wp, -1 and +1, so every op of a substep is a contiguous
     1-D slice op over rows 1..rows. Those ops also write the two border
     columns, which are zeroed again after each substep; the border rows are
-    never written. A zero border cell adds nothing to a neighbor sum and the
-    neighbor count leaves it out, so the outer edge reflects.
+    never written. A zero border cell adds nothing to a neighbor sum and has
+    no in-grid neighbor count, so the outer edge reflects.
     """
 
     def __init__(self, rows: int, cols: int):
         wp = cols + 2
+        self.shape = (rows, cols)
         self._wp = wp
-        self._k = _neighbor_counts(rows, cols)
+        k = np.zeros((rows, wp))  # in-grid neighbor count; 4 off the grid's edge
+        cells = k[:, 1:-1]
+        cells += 4.0
+        cells[0, :] -= 1.0
+        cells[-1, :] -= 1.0
+        cells[:, 0] -= 1.0
+        cells[:, -1] -= 1.0
+        self._edges = [(e, k[e].copy()) for e in (np.s_[0], np.s_[-1], np.s_[:, 1], np.s_[:, -2])]
         self._tmp = np.empty(rows * wp)
         self._cur = np.zeros((rows + 2) * wp)
         self._nxt = np.zeros_like(self._cur)
@@ -122,16 +111,24 @@ class _Stencil:
         return self._cur.reshape(-1, self._wp)[1:-1, 1:-1]
 
     def run(self, coupling: float, substeps: int) -> None:
-        """Advance the grid by explicit substeps; see :func:`diffuse_substep`."""
-        wp, k, tmp = self._wp, self._k, self._tmp
-        lo, hi = wp, wp + k.size
+        """Advance the grid by explicit substeps; see :func:`diffuse_substep`.
+
+        k * v is 4 * v off the grid's edge, exact in binary floating point, so
+        only the edge rows and columns multiply by their own neighbor counts.
+        """
+        wp, tmp = self._wp, self._tmp
+        lo, hi = wp, wp + tmp.size
+        tmp2 = tmp.reshape(-1, wp)
         cur, nxt = self._cur, self._nxt
         for _ in range(substeps):
             v, out = cur[lo:hi], nxt[lo:hi]
             np.add(cur[lo - wp:hi - wp], cur[lo + wp:hi + wp], out=out)  # N + S
             np.add(cur[lo - 1:hi - 1], cur[lo + 1:hi + 1], out=tmp)  # W + E
             out += tmp
-            np.multiply(k, v, out=tmp)
+            np.multiply(v, 4.0, out=tmp)
+            v2 = v.reshape(-1, wp)
+            for edge, k in self._edges:
+                np.multiply(k, v2[edge], out=tmp2[edge])
             out -= tmp
             out *= coupling
             out += v
@@ -140,18 +137,20 @@ class _Stencil:
         self._cur, self._nxt = cur, nxt
 
     def state(self, ring: int) -> AnalogState:
-        """The voltages as an AnalogState in the idle buffer; the stencil must not run again."""
-        grid = self.grid
-        packed = self._nxt[:grid.size].reshape(grid.shape)
-        packed[...] = grid
-        return AnalogState(packed, ring)
+        """A copy of the voltages that later use of the stencil leaves alone."""
+        return AnalogState(self.grid.copy(), ring)
+
+    def load(self, pixels: np.ndarray, ring: int) -> None:
+        """Write the pixels inside a ring of zeros, replacing every voltage."""
+        self._cur.fill(0.0)
+        _interior(self.grid, ring)[...] = pixels
 
     def redigitize(self, ring: int, vth: float) -> None:
         """Threshold the interior back to bits and zero the ring, like a re-embed."""
-        inner = _interior(self.grid, ring)
-        bits = inner > vth
-        self._cur.fill(0.0)
-        inner[...] = bits
+        self.load(_interior(self.grid, ring) > vth, ring)
+
+
+_workspace = threading.local()
 
 
 def _interior(grid: np.ndarray, ring: int) -> np.ndarray:
@@ -159,10 +158,14 @@ def _interior(grid: np.ndarray, ring: int) -> np.ndarray:
 
 
 def _embed(pixels: np.ndarray, ring: int) -> _Stencil:
-    """A stencil holding the frame's pixels inside a ring of zeros."""
+    """This thread's stencil, kept while the grid shape holds, with the pixels in a zero ring."""
     h, w = pixels.shape
-    stencil = _Stencil(h + 2 * ring, w + 2 * ring)
-    _interior(stencil.grid, ring)[...] = pixels
+    shape = (h + 2 * ring, w + 2 * ring)
+    stencil = getattr(_workspace, "stencil", None)
+    if stencil is None or stencil.shape != shape:
+        _workspace.stencil = None  # free the old buffers before allocating
+        stencil = _workspace.stencil = _Stencil(*shape)
+    stencil.load(pixels, ring)
     return stencil
 
 
@@ -178,19 +181,22 @@ def diffuse_substep(state: AnalogState, coupling: float) -> AnalogState:
     """
     if not 0.0 < coupling <= STABILITY_LIMIT:
         raise ConfigError(f"coupling must be in (0, {STABILITY_LIMIT}], got {coupling}")
-    stencil = _Stencil(*state.volts.shape)
-    stencil.grid[...] = state.volts
+    stencil = _embed(state.volts, 0)
     stencil.run(coupling, 1)
     return stencil.state(state.ring)
 
 
+def _threshold(volts: np.ndarray, vth: float) -> BinaryFrame:
+    return BinaryFrame((volts > vth).astype(np.uint8))
+
+
 def threshold_restore(state: AnalogState, cfg: DiffusionConfig) -> BinaryFrame:
     """Re-digitize the interior: pixel = 1 iff voltage strictly exceeds cfg.vth."""
-    return BinaryFrame((state.interior() > cfg.vth).astype(np.uint8))
+    return _threshold(state.interior(), cfg.vth)
 
 
-def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig) -> AnalogState:
-    """Run the configured pulse train on a frame; the final pulse stays analog.
+def _pulse_train(frame: BinaryFrame, cfg: DiffusionConfig) -> _Stencil:
+    """This thread's stencil after the configured pulse train on a frame.
 
     Between pulses (when enabled) the interior is thresholded back to bits and
     the ring zeroed, exactly as a store-and-restart would.
@@ -203,7 +209,12 @@ def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig) -> AnalogState:
             stencil.run(c, cfg.substeps_per_pulse)
         if cfg.redigitize_between_pulses and pulse < cfg.pulses - 1:
             stencil.redigitize(cfg.ring, cfg.vth)
-    return stencil.state(cfg.ring)
+    return stencil
+
+
+def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig) -> AnalogState:
+    """Run the configured pulse train on a frame; the final pulse stays analog."""
+    return _pulse_train(frame, cfg).state(cfg.ring)
 
 
 def restore_image(frame: BinaryFrame, cfg: DiffusionConfig) -> BinaryFrame:
@@ -212,7 +223,7 @@ def restore_image(frame: BinaryFrame, cfg: DiffusionConfig) -> BinaryFrame:
     At the default config this removes every 4-isolated 1-pixel and fills any
     fully enclosed single-pixel hole in a solid block of 5x5 or larger.
     """
-    return threshold_restore(apply_pulses(frame, cfg), cfg)
+    return _threshold(_interior(_pulse_train(frame, cfg).grid, cfg.ring), cfg.vth)
 
 
 def _check_max_ones(max_ones: int) -> None:

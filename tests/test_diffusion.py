@@ -1,5 +1,6 @@
 """Charge-sharing dynamics: one independent reference model plus frozen cases."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -125,6 +126,94 @@ def test_flat_kernel_matches_reference_on_noisy_corpus():
     for scene in scenes:
         for ring in (0, 1, 2):
             assert_matches_reference(scene.frame, DiffusionConfig(), ring)
+
+
+def random_frame(rng: np.random.Generator, shape: tuple[int, int]) -> BinaryFrame:
+    return BinaryFrame((rng.random(shape) < 0.4).astype(np.uint8))
+
+
+def test_reused_workspace_never_leaks_state():
+    """One thread, repeating and changing grid shapes: every result equals the reference.
+
+    Each case runs twice in a row, so the second frame reuses the first one's
+    workspace, and every returned state is checked again at the end, after
+    the workspace has been overwritten many times.
+    """
+    rng = np.random.default_rng(13)
+    probe_cfg = DiffusionConfig()
+    probe_steps = probe_diffusion_speed(8, 6, "corner", probe_cfg)
+    cases = [(shape, ring) for shape in ((1, 7), (7, 1), (5, 9), (1, 1)) for ring in (0, 1, 2)]
+    kept = []
+    for i in rng.permutation(len(cases * 3)):
+        shape, ring = cases[i % len(cases)]
+        cfg = DiffusionConfig(
+            substeps_per_pulse=int(rng.integers(1, 6)),
+            amplitude=float(rng.choice([0.0, 0.5, 1.0])),
+            pulses=int(rng.integers(1, 4)),
+            redigitize_between_pulses=bool(rng.integers(2)),
+            ring=ring,
+        )
+        for _ in range(2):
+            frame = random_frame(rng, shape)
+            state, want = apply_pulses(frame, cfg), reference.apply_pulses(frame, cfg, ring)
+            assert_same_bits(state.volts, want.volts)
+            kept.append((state, want))
+            assert_same_bits(restore_image(frame, cfg).pixels,
+                             reference.restore_image(frame, cfg, ring).pixels)
+        if i % 3 == 0:
+            assert probe_diffusion_speed(8, 6, "corner", probe_cfg) == probe_steps
+        else:
+            analog = AnalogState(rng.random((shape[0] + 2 * ring, shape[1] + 2 * ring)), ring)
+            assert_same_bits(diffuse_substep(analog, 0.2).volts,
+                             reference.substep(analog, 0.2).volts)
+    for state, want in kept:
+        assert_same_bits(state.volts, want.volts)
+
+
+def test_apply_pulses_returns_memory_it_owns():
+    """A kept state survives later pulse trains on the same thread, one-row grids included."""
+    rng = np.random.default_rng(8)
+    for shape, ring in (((1, 9), 0), ((6, 5), 1)):
+        cfg = DiffusionConfig(ring=ring)
+        frame_a, frame_b = random_frame(rng, shape), random_frame(rng, shape)
+        state_a = apply_pulses(frame_a, cfg)
+        before = state_a.volts.copy()
+        state_b = apply_pulses(frame_b, cfg)
+        restore_image(frame_b, cfg)
+        assert not np.array_equal(state_b.volts, before)
+        assert_same_bits(state_a.volts, before)
+        assert not np.shares_memory(state_a.volts, state_b.volts)
+
+
+def test_results_do_not_depend_on_worker_count():
+    """Mixed-shape frames through the evaluate pool give the same bits at 1, 2 and 4 workers.
+
+    The frames are large enough that numpy releases the GIL inside a substep,
+    and the short switch interval interleaves the threads finely, so a
+    workspace shared between pool threads would most likely show as a mismatch.
+    """
+    from cramsim.oracle import _pool_map
+
+    rng = np.random.default_rng(21)
+    shapes = ((1, 90), (90, 1), (60, 48), (48, 60), (60, 48), (3, 3))
+    items = [(random_frame(rng, shapes[int(rng.integers(len(shapes)))]),
+              DiffusionConfig(pulses=2, ring=int(rng.integers(0, 3)))) for _ in range(40)]
+
+    def run(item):
+        frame, cfg = item
+        return apply_pulses(frame, cfg).volts, restore_image(frame, cfg).pixels
+
+    want = _pool_map(run, items, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (2, 4):
+            for (volts, pixels), (want_volts, want_pixels) in zip(_pool_map(run, items, workers),
+                                                                  want, strict=True):
+                assert_same_bits(volts, want_volts)
+                assert_same_bits(pixels, want_pixels)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_single_center_substep_exact_values():
