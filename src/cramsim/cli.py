@@ -39,7 +39,7 @@ from .diffusion import (
 )
 from .errors import ConfigError, CramSimError, InputError
 from .grid import analog_to_bytes, frame_to_bytes, load_frame
-from .oracle import FrameSample, _pool_map, evaluate, evaluate_sweep
+from .oracle import FrameSample, _pool_map, evaluate_sweep
 from .projection import boxes_from_json, boxes_to_json, region_propose
 from .timing import cost_report
 
@@ -84,21 +84,30 @@ def _pbm_names(directory: str) -> list[str]:
 
 
 def _collect_pbm_inputs(paths: list[str]) -> list[str]:
-    """Expand files and directories into a sorted list of PBM paths."""
-    found: list[str] = []
+    """Expand files and directories into PBM paths, in argument order.
+
+    A directory gives its own .pbm files in sorted order. Outputs are named
+    by stem, so two inputs with one stem (the same file twice included) are
+    an input error.
+    """
+    found: dict[str, str] = {}  # stem -> path
     for p in paths:
         if os.path.isdir(p):
             names = _pbm_names(p)
             if not names:
                 raise InputError(f"no .pbm files in directory {p}")
-            found.extend(os.path.join(p, n) for n in names)
+            files = [os.path.join(p, n) for n in names]
         elif os.path.isfile(p):
-            found.append(p)
+            files = [p]
         else:
             raise InputError(f"input not found: {p}")
-    if not found:
-        raise InputError("no input frames given")
-    return found
+        for path in files:
+            stem = _stem(path)
+            if stem in found:
+                raise InputError(f"inputs {found[stem]} and {path} have the same stem "
+                                 f"{stem!r}; outputs are named by stem")
+            found[stem] = path
+    return list(found.values())
 
 
 def _stem(path: str) -> str:
@@ -212,32 +221,18 @@ def _load_corpus(corpus: str) -> list[FrameSample]:
     return samples
 
 
-def _report_rows(setting_id: str, reports) -> list[str]:
-    rows = []
-    for r in reports:
-        rows.append(
-            f"{r.iou_threshold:g},{r.tp},{r.fp},{r.fn},"
-            f"{r.precision:.6f},{r.recall:.6f},{r.f1:.6f},"
-            f"{setting_id},{r.weighted_f1:.6f}"
-        )
-    return rows
-
-
 def cmd_eval(cfg: RunConfig, corpus: str, out: str) -> int:
     samples = _load_corpus(corpus)
-    pipeline = cfg.eval_pipeline()
-    workers = worker_count()
+    results = evaluate_sweep(
+        samples, cfg.eval_pipeline(), cfg.eval_sweep_amplitudes, cfg.eval_sweep_substeps,
+        cfg.eval_iou_thresholds, workers=worker_count(),
+    )
     lines = ["iou,tp,fp,fn,precision,recall,f1,setting_id,weighted_f1"]
-    if cfg.eval_sweep_amplitudes and cfg.eval_sweep_substeps:
-        results = evaluate_sweep(
-            samples, pipeline, cfg.eval_sweep_amplitudes, cfg.eval_sweep_substeps,
-            cfg.eval_iou_thresholds, workers=workers,
-        )
-        for setting_id, reports in results:
-            lines += _report_rows(setting_id, reports)
-    else:
-        reports = evaluate(samples, pipeline, cfg.eval_iou_thresholds, workers=workers)
-        lines += _report_rows("default", reports)
+    lines += [
+        f"{r.iou_threshold:g},{r.tp},{r.fp},{r.fn},{r.precision:.6f},{r.recall:.6f},"
+        f"{r.f1:.6f},{setting_id},{r.weighted_f1:.6f}"
+        for setting_id, reports in results for r in reports
+    ]
     _write_text(os.path.join(out, "report.csv"), "\n".join(lines) + "\n")
     print(f"evaluated {len(samples)} frames; report in {out}/report.csv")
     return 0
@@ -338,9 +333,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_propose(cfg, args.inputs, args.out)
         if args.command == "eval":
             return cmd_eval(cfg, args.corpus, args.out)
-        if args.command == "probe":
-            return cmd_probe(cfg, args.out)
-        raise CramSimError(f"unknown command {args.command!r}")
+        return cmd_probe(cfg, args.out)  # argparse admits no other command
     except CramSimError as exc:
         print(f"cram-sim: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -274,13 +274,18 @@ def evaluate_sweep(
 ) -> list[tuple[str, list[EvalReport]]]:
     """Evaluate over an (amplitude x substeps) grid of diffusion settings.
 
-    Returns (setting_id, reports) per grid point, in grid order.
+    With both grids empty the one setting is the pipeline itself, with id
+    "default"; giving only one grid is a ConfigError. Every setting is built,
+    and so checked, before any frame is proposed. Returns (setting_id,
+    reports) per setting, in grid order.
     """
-    out = []
+    if bool(amplitudes) != bool(substeps):
+        raise ConfigError("sweep amplitudes and substeps must be given together, "
+                          f"got {len(amplitudes)} amplitudes and {len(substeps)} substeps")
+    settings = [] if amplitudes else [("default", pipeline)]
     for amp in amplitudes:
         for sub in substeps:
             cfg = replace(pipeline.diffusion, amplitude=amp, substeps_per_pulse=sub)
-            setting = replace(pipeline, diffusion=cfg)
-            setting_id = f"amp{amp:g}_sub{sub}"
-            out.append((setting_id, evaluate(samples, setting, iou_thresholds, workers)))
-    return out
+            settings.append((f"amp{amp:g}_sub{sub}", replace(pipeline, diffusion=cfg)))
+    return [(setting_id, evaluate(samples, setting, iou_thresholds, workers))
+            for setting_id, setting in settings]

@@ -405,13 +405,33 @@ def test_exit_codes(tmp_path, monkeypatch):
     (["propose", "CORPUS", "--propose.restore", "true", "--frame.ring", "100000"], 2),
     (["probe", "--frame.ring", "100000"], 2),
     (["probe", "--frame.width", "100000", "--frame.height", "100000"], 2),
+    (["eval", "CORPUS", "--eval.sweep_amplitudes", "0.5"], 2),
+    (["eval", "CORPUS", "--eval.sweep_substeps", "4"], 2),
+    # amplitude 2 is past the stability limit, and comes after two good settings
+    (["eval", "CORPUS", "--eval.sweep_amplitudes", "1,2", "--eval.sweep_substeps", "4,8"], 2),
+    # outputs are named by stem: two inputs with one stem, or one file twice
+    (["propose", "CORPUS", "CORPUS2"], 1),
+    (["restore", "CORPUS", "CORPUS2"], 1),
+    (["propose", "CORPUS", "CORPUS"], 1),
 ])
-def test_failed_command_leaves_no_out_directory(tmp_path, capsys, command, code):
+def test_failed_command_leaves_no_out_directory(tmp_path, capsys, monkeypatch, command, code):
+    from cramsim import cli, oracle
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran a frame before failing its checks")
+
+    # a command that fails its checks runs no frame
+    monkeypatch.setattr(cli, "_map_frames", no_work)
+    monkeypatch.setattr(oracle.EvalPipeline, "propose", no_work)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "f.pbm").write_bytes(frame_to_bytes(BinaryFrame.zeros(8, 8)))
     (corpus / "f.gt.json").write_text("[]\n")
-    argv = [str(corpus) if arg == "CORPUS" else arg for arg in command]
+    corpus2 = tmp_path / "corpus2"
+    corpus2.mkdir()
+    (corpus2 / "f.pbm").write_bytes(frame_to_bytes(BinaryFrame.zeros(6, 6)))
+    placeholders = {"CORPUS": str(corpus), "CORPUS2": str(corpus2)}
+    argv = [placeholders.get(arg, arg) for arg in command]
     out = tmp_path / "out"
     capsys.readouterr()
     assert run_cli(*argv, "--out", str(out)) == code
@@ -452,7 +472,7 @@ def test_unusable_paths_fail_with_one_error_line(tmp_path, capsys, monkeypatch, 
 
         # an --out that is a regular file fails before any frame is made or run
         monkeypatch.setattr(cli, "_map_frames", no_work)
-        monkeypatch.setattr(cli, "evaluate", no_work)
+        monkeypatch.setattr(cli, "evaluate_sweep", no_work)
         monkeypatch.setattr(synth, "generate_corpus", no_work)
     capsys.readouterr()
     assert run_cli(*argv, "--out", str(out)) == 1

@@ -258,6 +258,36 @@ def test_evaluate_sweep_setting_ids_and_grid_order():
     assert all(len(reports) == 1 for _, reports in results)
 
 
+def test_evaluate_sweep_without_grids_is_the_default_run():
+    samples = [FrameSample(frame=frame_of("##..\n##..\n...#"), gt=[Box(0, 1, 0, 1)])]
+    pipe = EvalPipeline(rp=RpConfig(size_min=1, slot_r=0, slot_c=0), restore=False)
+    assert evaluate_sweep(samples, pipe, [], [], [0.3, 0.5]) == [
+        ("default", evaluate(samples, pipe, [0.3, 0.5]))
+    ]
+
+
+@pytest.mark.parametrize("amplitudes,substeps", [([0.5, 1.0], []), ([], [4])])
+def test_evaluate_sweep_needs_both_grids_or_neither(amplitudes, substeps):
+    samples = [FrameSample(frame=frame_of("##\n##"), gt=[Box(0, 1, 0, 1)])]
+    with pytest.raises(ConfigError, match="together"):
+        evaluate_sweep(samples, EvalPipeline(), amplitudes, substeps)
+
+
+def test_evaluate_sweep_checks_every_setting_before_any_frame(monkeypatch):
+    calls = []
+
+    def counting_propose(self, frame):
+        calls.append(frame)
+        return []
+
+    monkeypatch.setattr(EvalPipeline, "propose", counting_propose)
+    samples = [FrameSample(frame=frame_of("##\n##"), gt=[Box(0, 1, 0, 1)])] * 3
+    # amplitude 2 times alpha 0.2 exceeds the stability limit; it comes last
+    with pytest.raises(ConfigError, match="amplitude"):
+        evaluate_sweep(samples, EvalPipeline(), [0.5, 1.0, 2.0], [4, 8], [0.5], workers=2)
+    assert calls == []
+
+
 def test_pipeline_toggles_change_proposals():
     # a speck beside a fragmented object: restoration and consolidation
     # each repair a different defect
