@@ -8,11 +8,14 @@ Five subcommands cover the pipeline end to end:
   eval     score proposals against ground truth over a corpus
   probe    measure diffusion step counts at center and corner
 
-All commands accept ``--config FILE`` plus ``--section.key value``
-overrides for any known configuration key, and write their outputs
-under ``--out`` (default: current directory), which is created with the
-first output file, so a command that fails its checks leaves none; an
-``--out`` that names an existing non-directory fails before any work.
+``keys`` lists the configuration keys. The other five take ``--config
+FILE`` and a ``--section.key value`` override for any key, in any order
+after the command and spelled in full (``--key=value`` if the value starts
+with ``-``); one argparse parser reads them all, so a usage error is one
+``cram-sim: error:`` line with exit code 2. Outputs go under ``--out``
+(default: current directory), which is created with the first output
+file, so a command that fails its checks leaves none; an ``--out`` that
+names an existing non-directory fails before any work.
 Files are written via a temp-and-rename so an interrupted run never
 leaves partial output.
 Worker-thread count comes from the CRAM_SIM_THREADS environment
@@ -255,10 +258,24 @@ def cmd_probe(cfg: RunConfig, out: str) -> int:
 # ----------------------------------------------------------- dispatcher
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes no abbreviated option.
+
+    A usage error raises ConfigError, so it ends, like any other, in one
+    ``cram-sim: error:`` line and exit code 2.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cram-sim",
         description="Behavioral simulator for a diffuse-then-project vision pipeline.",
         epilog="Any configuration key may be overridden as --key value; "
@@ -266,62 +283,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None, help="path to a key=value config file")
-        p.add_argument("--out", default=".", help="output directory (created if missing)")
+    common = argparse.ArgumentParser(add_help=False)  # the options of every command but keys
+    common.add_argument("--config", default=None, help="path to a key=value config file")
+    common.add_argument("--out", default=".", help="output directory (created if missing)")
+    for key in known_keys():
+        common.add_argument(f"--{key}", dest=key, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
-    common(sub.add_parser("synth", help="generate a synthetic corpus"))
+    sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
 
-    p_restore = sub.add_parser("restore", help="denoise frames by diffuse-and-threshold")
-    common(p_restore)
+    p_restore = sub.add_parser("restore", parents=[common],
+                               help="denoise frames by diffuse-and-threshold")
     p_restore.add_argument("inputs", nargs="+", help="PBM files or directories")
     p_restore.add_argument("--emit-analog", action="store_true",
                            help="also write pre-threshold voltages as PGM")
 
-    p_propose = sub.add_parser("propose", help="run region proposal on frames")
-    common(p_propose)
+    p_propose = sub.add_parser("propose", parents=[common], help="run region proposal on frames")
     p_propose.add_argument("inputs", nargs="+", help="PBM files or directories")
 
-    p_eval = sub.add_parser("eval", help="score proposals against ground truth")
-    common(p_eval)
+    p_eval = sub.add_parser("eval", parents=[common], help="score proposals against ground truth")
     p_eval.add_argument("corpus", help="directory of frame_*.pbm plus *.gt.json")
 
-    common(sub.add_parser("probe", help="measure diffusion steps to threshold"))
+    sub.add_parser("probe", parents=[common], help="measure diffusion steps to threshold")
 
     sub.add_parser("keys", help="list recognized configuration keys")
     return parser
 
 
-def _split_overrides(extra: list[str]) -> list[tuple[str, str]]:
-    """Turn leftover ``--key value`` tokens into override pairs."""
-    pairs = []
-    i = 0
-    while i < len(extra):
-        tok = extra[i]
-        if not tok.startswith("--") or "." not in tok:
-            raise CramSimError(f"unrecognized argument: {tok}")
-        key = tok[2:]
-        if "=" in key:
-            key, _, value = key.partition("=")
-        else:
-            i += 1
-            if i >= len(extra):
-                raise CramSimError(f"missing value for override --{key}")
-            value = extra[i]
-        pairs.append((key, value))
-        i += 1
-    return pairs
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command == "keys":
             for key in known_keys():
                 print(key)
             return 0
-        overrides = _split_overrides(extra)
+        # the keys given on the command line are the dotted names argparse set
+        overrides = [(name, value) for name, value in vars(args).items() if "." in name]
         cfg = load_config(args.config, overrides)
         if os.path.exists(args.out) and not os.path.isdir(args.out):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.out)

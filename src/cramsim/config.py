@@ -72,7 +72,6 @@ class RunConfig:
     amplitude: float = DiffusionConfig.amplitude
     pulses: int = DiffusionConfig.pulses
     vth: float = DiffusionConfig.vth
-    redigitize_between_pulses: bool = DiffusionConfig.redigitize_between_pulses
     dac_code: int = ProjectionConfig.dac_code
     line_charge_constant: float = ProjectionConfig.line_charge_constant
     size_min: int = RpConfig.size_min

@@ -33,7 +33,6 @@ class DiffusionConfig:
     amplitude: conductance scale >= 0 multiplying alpha (pulse amplitude).
     pulses: number of enable pulses.
     vth: inverter switching threshold in (0, 1).
-    redigitize_between_pulses: threshold back to {0,1} between pulses.
     ring: width of the grounded dummy ring around the frame, in [0, MAX_DIM].
     """
 
@@ -42,7 +41,6 @@ class DiffusionConfig:
     amplitude: float = 1.0
     pulses: int = 1
     vth: float = 0.5
-    redigitize_between_pulses: bool = True
     ring: int = 1
 
     def __post_init__(self):
@@ -198,8 +196,8 @@ def threshold_restore(state: AnalogState, cfg: DiffusionConfig) -> BinaryFrame:
 def _pulse_train(frame: BinaryFrame, cfg: DiffusionConfig) -> _Stencil:
     """This thread's stencil after the configured pulse train on a frame.
 
-    Between pulses (when enabled) the interior is thresholded back to bits and
-    the ring zeroed, exactly as a store-and-restart would.
+    Between pulses the interior is thresholded back to bits and the ring
+    zeroed, exactly as a store-and-restart would.
     amplitude == 0 means no conduction: the embedded state passes through.
     """
     stencil = _embed(frame.pixels, cfg.ring)
@@ -207,7 +205,7 @@ def _pulse_train(frame: BinaryFrame, cfg: DiffusionConfig) -> _Stencil:
     for pulse in range(cfg.pulses):
         if c > 0.0:
             stencil.run(c, cfg.substeps_per_pulse)
-        if cfg.redigitize_between_pulses and pulse < cfg.pulses - 1:
+        if pulse < cfg.pulses - 1:
             stencil.redigitize(cfg.ring, cfg.vth)
     return stencil
 

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the simulator.
 
 Each class maps to one CLI exit code so failures stay distinguishable
-in scripted runs: input/parse errors -> 1, configuration errors -> 2,
-internal guards -> 3.
+in scripted runs: input/parse errors -> 1, configuration and command-line
+usage errors -> 2, internal guards -> 3.
 """
 
 
@@ -29,7 +29,7 @@ class FrameFormatError(InputError):
 
 
 class ConfigError(CramSimError):
-    """A knob is outside its documented range or a config file is invalid."""
+    """A knob outside its documented range, an invalid config file, or a usage error."""
 
     exit_code = 2
 

@@ -55,7 +55,7 @@ def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig, ring: int = 1) -> Ana
         if c > 0.0:
             for _ in range(cfg.substeps_per_pulse):
                 state = substep(state, c)
-        if cfg.redigitize_between_pulses and pulse < cfg.pulses - 1:
+        if pulse < cfg.pulses - 1:
             state = embed(threshold(state, cfg.vth), ring)
     return state
 

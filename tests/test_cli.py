@@ -413,6 +413,11 @@ def test_exit_codes(tmp_path, monkeypatch):
     (["propose", "CORPUS", "CORPUS2"], 1),
     (["restore", "CORPUS", "CORPUS2"], 1),
     (["propose", "CORPUS", "CORPUS"], 1),
+    # usage errors: no input, a stray argument, an abbreviated key, a key without a value
+    (["propose"], 2),
+    (["probe", "extra"], 2),
+    (["probe", "--frame.widt", "64"], 2),
+    (["probe", "--frame.width"], 2),
 ])
 def test_failed_command_leaves_no_out_directory(tmp_path, capsys, monkeypatch, command, code):
     from cramsim import cli, oracle
@@ -488,7 +493,18 @@ def test_override_equals_form(tmp_path):
 
 
 def test_override_missing_value(tmp_path):
-    assert run_cli("probe", "--out", str(tmp_path), "--frame.width") == 1
+    assert run_cli("probe", "--out", str(tmp_path), "--frame.width") == 2
+
+
+@pytest.mark.parametrize("command,override", [
+    ("eval", ["--pipeline.restore", "false"]),
+    ("restore", ["--frame.ring", "2"]),
+])
+def test_override_before_positional_is_the_same_run(tmp_path, corpus, command, override):
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert run_cli(command, *override, str(corpus), "--out", str(before)) == 0
+    assert run_cli(command, str(corpus), *override, "--out", str(after)) == 0
+    assert _tree(before) == _tree(after) and _tree(before)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -547,10 +563,19 @@ def test_console_script_help():
     assert "synth" in proc.stdout and "probe" in proc.stdout
 
 
+def test_help_exits_zero_in_process(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cram-sim")
+
+
 def test_keys_subcommand(capsys):
     assert run_cli("keys") == 0
     out = capsys.readouterr().out
     assert "diffusion.alpha" in out and "synth.seed" in out
+    assert out.splitlines() == known_keys()
+    assert run_cli("keys", "extra") == 2
 
 
 # --- corrupt inputs
@@ -608,5 +633,42 @@ def test_corrupt_inputs_fail_with_one_error_line(command, edits):
                          "--out", str(root / "out")])
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2)
+    assert len(lines) == (code != 0)
+    assert all(line.startswith("cram-sim: error: ") for line in lines)
+
+
+# --- argv fuzz
+
+ARGV_WORDS = [
+    "synth", "restore", "propose", "eval", "probe", "keys",  # commands
+    "CORPUS", "stray", "8", "false",  # the corpus and stray words
+    "--frame.width", "--frame.ring", "--synth.frames", "--pipeline.restore",  # keys
+    "--diffusion.alph",  # an abbreviated key
+    "--synth.seed=-1", "-0.5,1", "", "--config", "--out",
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=st.lists(st.sampled_from(ARGV_WORDS), max_size=6))
+def test_any_argv_ends_in_one_error_line_or_none(words):
+    """Whatever the argv, main returns a documented code with one error line iff it failed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "corpus").mkdir()
+        for name in ("corpus/f.pbm", "corpus/f.gt.json"):
+            (root / name).write_bytes(FUZZ_FILES[name])
+        argv = [str(root / "corpus") if w == "CORPUS" else w for w in words]
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(root)  # a relative --out or stray path stays inside the temporary directory
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", str(root / "out")])
+        except SystemExit as exc:
+            pytest.fail(f"main raised SystemExit({exc.code}) instead of returning")
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3)
     assert len(lines) == (code != 0)
     assert all(line.startswith("cram-sim: error: ") for line in lines)

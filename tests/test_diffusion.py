@@ -93,7 +93,6 @@ diffusion_configs = st.builds(
     amplitude=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
     pulses=st.integers(1, 3),
     vth=st.floats(0.05, 0.95),
-    redigitize_between_pulses=st.booleans(),
 )
 
 
@@ -150,7 +149,6 @@ def test_reused_workspace_never_leaks_state():
             substeps_per_pulse=int(rng.integers(1, 6)),
             amplitude=float(rng.choice([0.0, 0.5, 1.0])),
             pulses=int(rng.integers(1, 4)),
-            redigitize_between_pulses=bool(rng.integers(2)),
             ring=ring,
         )
         for _ in range(2):
@@ -313,16 +311,6 @@ def test_two_pulses_with_redigitize_compose():
     once = DiffusionConfig(pulses=1)
     twice = DiffusionConfig(pulses=2)
     assert restore_image(f, twice) == restore_image(restore_image(f, once), once)
-
-
-def test_pulses_without_redigitize_concatenate_substeps():
-    rng = np.random.default_rng(6)
-    f = BinaryFrame((rng.random((15, 15)) < 0.3).astype(np.uint8))
-    split = DiffusionConfig(pulses=2, substeps_per_pulse=4, redigitize_between_pulses=False)
-    joined = DiffusionConfig(pulses=1, substeps_per_pulse=8)
-    assert np.array_equal(
-        apply_pulses(f, split).volts, apply_pulses(f, joined).volts
-    )
 
 
 # --- restoration behavior at the default operating point
