@@ -309,6 +309,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(message: str) -> str:
+    """The message with every unprintable character escaped (a newline as \\n)."""
+    return "".join(ch if ch.isprintable() else ch.encode("unicode_escape").decode("ascii")
+                   for ch in message)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -331,10 +337,10 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_eval(cfg, args.corpus, args.out)
         return cmd_probe(cfg, args.out)  # argparse admits no other command
     except CramSimError as exc:
-        print(f"cram-sim: error: {exc}", file=sys.stderr)
+        print(f"cram-sim: error: {_one_line(str(exc))}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
-        print(f"cram-sim: error: {exc}", file=sys.stderr)
+        print(f"cram-sim: error: {_one_line(str(exc))}", file=sys.stderr)
         return 1
 
 

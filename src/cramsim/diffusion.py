@@ -16,6 +16,7 @@ from typing import Literal
 
 import numpy as np
 
+from . import _ckernel
 from .errors import ConfigError, GuardError
 from .grid import MAX_DIM, AnalogState, BinaryFrame
 
@@ -111,9 +112,17 @@ class _Stencil:
     def run(self, coupling: float, substeps: int) -> None:
         """Advance the grid by explicit substeps; see :func:`diffuse_substep`.
 
+        The compiled kernel (`_ckernel`) runs them when this host can build
+        it; the numpy body below is the fallback, with the same bits. There,
         k * v is 4 * v off the grid's edge, exact in binary floating point, so
         only the edge rows and columns multiply by their own neighbor counts.
         """
+        compiled = _ckernel.substeps()
+        if compiled is not None:
+            compiled(self._cur.ctypes.data, self._nxt.ctypes.data, *self.shape, coupling, substeps)
+            if substeps % 2:
+                self._cur, self._nxt = self._nxt, self._cur
+            return
         wp, tmp = self._wp, self._tmp
         lo, hi = wp, wp + tmp.size
         tmp2 = tmp.reshape(-1, wp)

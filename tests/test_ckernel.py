@@ -1,0 +1,148 @@
+"""Building and loading the compiled substep: every failure falls back to numpy, silently."""
+
+import functools
+import os
+import shutil
+import tempfile
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cramsim import _ckernel
+from cramsim.diffusion import DiffusionConfig, apply_pulses, restore_image
+from cramsim.grid import BinaryFrame
+
+needs_cc = pytest.mark.skipif(shutil.which(_ckernel._CC) is None,
+                              reason="no C compiler on PATH to build the kernel")
+
+PACKAGE = Path(_ckernel.__file__).parent
+
+
+def outputs() -> tuple[bytes, bytes]:
+    frame = BinaryFrame((np.random.default_rng(3).random((30, 41)) < 0.3).astype(np.uint8))
+    cfg = DiffusionConfig(pulses=2)
+    return apply_pulses(frame, cfg).volts.tobytes(), restore_image(frame, cfg).pixels.tobytes()
+
+
+@pytest.fixture
+def numpy_outputs(monkeypatch):
+    monkeypatch.setattr(_ckernel, "_kernel", None)
+    return outputs()
+
+
+@pytest.fixture
+def first_use(monkeypatch, tmp_path, numpy_outputs):
+    """A process that has not tried the kernel yet, with its cache and cwd under tmp_path."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_ckernel, "_kernel", _ckernel._UNTRIED)
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    return tmp_path
+
+
+def build_temp_dirs_in(monkeypatch, path: Path) -> None:
+    monkeypatch.setattr(tempfile, "mkdtemp", functools.partial(tempfile.mkdtemp, dir=str(path)))
+
+
+def cached_libraries(tmp_path: Path) -> list[Path]:
+    return sorted((tmp_path / "cache" / "cramsim").glob("*"))
+
+
+def test_missing_compiler_falls_back(first_use, numpy_outputs, monkeypatch, capfd):
+    monkeypatch.setattr(_ckernel, "_CC", "cramsim-no-such-compiler")
+    assert outputs() == numpy_outputs
+    assert _ckernel.substeps() is None
+    assert capfd.readouterr() == ("", "")
+
+
+@needs_cc
+def test_source_that_fails_to_compile_falls_back(first_use, numpy_outputs, monkeypatch, capfd):
+    broken = first_use / "broken.c"
+    broken.write_text("this is not C\n")
+    monkeypatch.setattr(_ckernel, "_SOURCE", broken)
+    assert outputs() == numpy_outputs
+    assert _ckernel.substeps() is None
+    assert capfd.readouterr() == ("", "")
+    assert cached_libraries(first_use) == []  # the failed build's temp file is gone
+
+
+@needs_cc
+def test_unusable_cache_builds_in_a_private_temp_dir(first_use, numpy_outputs, monkeypatch,
+                                                      capfd):
+    """A cache path that cannot be a directory: the build goes to a temp dir, then that goes."""
+    (first_use / "cache").write_text("a file where the cache directory should be\n")
+    (first_use / "tmp").mkdir()
+    build_temp_dirs_in(monkeypatch, first_use / "tmp")
+    assert outputs() == numpy_outputs
+    assert _ckernel.substeps() is not None
+    assert list((first_use / "tmp").iterdir()) == []
+    assert capfd.readouterr() == ("", "")
+
+
+@needs_cc
+def test_shared_cache_is_never_loaded_from(first_use, numpy_outputs, monkeypatch):
+    shared = first_use / "cache" / "cramsim"
+    shared.mkdir(parents=True)
+    shared.chmod(0o777)
+    (first_use / "tmp").mkdir()
+    build_temp_dirs_in(monkeypatch, first_use / "tmp")
+    assert outputs() == numpy_outputs
+    assert _ckernel.substeps() is not None
+    assert list(shared.iterdir()) == []
+
+
+def test_nowhere_to_build_falls_back(first_use, numpy_outputs, monkeypatch, capfd):
+    (first_use / "cache").write_text("not a directory\n")
+    build_temp_dirs_in(monkeypatch, first_use / "cache" / "tmp")
+    assert outputs() == numpy_outputs
+    assert _ckernel.substeps() is None
+    assert capfd.readouterr() == ("", "")
+
+
+@needs_cc
+def test_truncated_library_in_the_cache_is_rebuilt(first_use, numpy_outputs, capfd):
+    cache = first_use / "cache" / "cramsim"
+    cache.mkdir(parents=True, mode=0o700)
+    stale = cache / f"substep-{_ckernel._build_key()}.so"
+    stale.write_bytes(b"\x7fELF\x02\x01\x01")
+    assert outputs() == numpy_outputs
+    assert _ckernel.substeps() is not None
+    assert stale.stat().st_size > 1000
+    assert cached_libraries(first_use) == [stale]
+    assert capfd.readouterr() == ("", "")
+
+
+@needs_cc
+def test_first_use_builds_once_into_the_cache_only(first_use, numpy_outputs, monkeypatch):
+    """Two threads on first use share one load; files appear only in the 0700 cache."""
+    package_files = sorted(PACKAGE.rglob("*"))
+    loads = []
+    load = _ckernel._load
+
+    def slow_load():
+        loads.append(threading.get_ident())
+        time.sleep(0.05)  # hold the first load open while the other thread arrives
+        return load()
+
+    monkeypatch.setattr(_ckernel, "_load", slow_load)
+    results = [None, None]
+
+    def work(i):
+        results[i] = outputs()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert results == [numpy_outputs, numpy_outputs]
+    assert len(loads) == 1
+    assert _ckernel.substeps() is not None
+    assert [p.suffix for p in cached_libraries(first_use)] == [".so"]
+    assert os.stat(first_use / "cache" / "cramsim").st_mode & 0o777 == 0o700
+    assert list(Path.cwd().iterdir()) == []
+    assert sorted(PACKAGE.rglob("*")) == package_files

@@ -418,6 +418,8 @@ def test_exit_codes(tmp_path, monkeypatch):
     (["probe", "extra"], 2),
     (["probe", "--frame.widt", "64"], 2),
     (["probe", "--frame.width"], 2),
+    # a newline in the message is escaped, not printed
+    (["propose", "missing\nframe.pbm"], 1),
 ])
 def test_failed_command_leaves_no_out_directory(tmp_path, capsys, monkeypatch, command, code):
     from cramsim import cli, oracle
@@ -645,6 +647,7 @@ ARGV_WORDS = [
     "--frame.width", "--frame.ring", "--synth.frames", "--pipeline.restore",  # keys
     "--diffusion.alph",  # an abbreviated key
     "--synth.seed=-1", "-0.5,1", "", "--config", "--out",
+    "\n", "no\nsuch.pbm",  # a newline, and a path that holds one, in an error message
 ]
 
 

@@ -1,6 +1,8 @@
 """Charge-sharing dynamics: one independent reference model plus frozen cases."""
 
+import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +12,11 @@ from hypothesis import strategies as st
 
 import diffusion_reference as reference
 from conftest import frame_of
+from cramsim import _ckernel
 from cramsim.config import RunConfig
 from cramsim.diffusion import (
     DiffusionConfig,
+    _embed,
     apply_pulses,
     blank_frame_detect,
     diffuse_substep,
@@ -44,6 +48,30 @@ def reference_substep(volts: np.ndarray, coupling: float) -> np.ndarray:
     return out
 
 
+HAVE_CC = shutil.which(_ckernel._CC) is not None
+# The package kernels. Each bit-exact test runs on every one this host can
+# build, in a loop, so a test keeps one name whatever the host has.
+KERNELS = ("compiled", "numpy") if HAVE_CC else ("numpy",)
+
+
+@contextmanager
+def kernel_in_use(kernel: str):
+    """Diffuse on one package kernel in the body; a failed assertion names it."""
+    saved = _ckernel._kernel
+    _ckernel._kernel = _ckernel.substeps() if kernel == "compiled" else None
+    try:
+        yield
+    except AssertionError as exc:
+        raise AssertionError(f"{kernel} kernel: {exc}") from exc
+    finally:
+        _ckernel._kernel = saved
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH to build the kernel")
+def test_compiled_kernel_loads_where_a_compiler_exists():
+    assert _ckernel.substeps() is not None
+
+
 volt_grids = st.integers(2, 9).flatmap(
     lambda h: st.integers(2, 9).flatmap(
         lambda w: st.lists(
@@ -57,9 +85,11 @@ volt_grids = st.integers(2, 9).flatmap(
 @given(volts=volt_grids, coupling=st.floats(0.01, 0.25))
 def test_substep_matches_reference_model(volts, coupling):
     state = AnalogState(volts, ring=0)
-    got = diffuse_substep(state, coupling).volts
     want = reference_substep(volts, coupling)
-    assert np.allclose(got, want, atol=1e-12, rtol=0.0)
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            got = diffuse_substep(state, coupling).volts
+            assert np.allclose(got, want, atol=1e-12, rtol=0.0)
 
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -105,26 +135,62 @@ diffusion_configs = st.builds(
     cfg=diffusion_configs,
 )
 def test_flat_kernel_matches_reference(shape, density, seed, ring, cfg):
-    """The flat in-place kernel equals the padded per-substep kernel bit for bit."""
+    """Both flat in-place kernels equal the padded per-substep kernel bit for bit."""
     rng = np.random.default_rng(seed)
     frame = BinaryFrame((rng.random(shape) < density).astype(np.uint8))
-    assert_matches_reference(frame, cfg, ring)
-
     volts = rng.random((shape[0] + 2 * ring, shape[1] + 2 * ring))
     state = AnalogState(volts.copy(), ring)
     coupling = max(cfg.coupling, 0.001)
-    got = diffuse_substep(state, coupling)
-    assert got.ring == ring
-    assert_same_bits(got.volts, reference.substep(state, coupling).volts)
-    assert_same_bits(state.volts, volts)
+    want = reference.substep(state, coupling).volts
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            assert_matches_reference(frame, cfg, ring)
+            got = diffuse_substep(state, coupling)
+            assert got.ring == ring
+            assert_same_bits(got.volts, want)
+            assert_same_bits(state.volts, volts)
 
 
 def test_flat_kernel_matches_reference_on_noisy_corpus():
     """Noisy, fragmented 320x240 frames at the default config, rings 0 to 2."""
     scenes = generate_corpus(RunConfig(noise_density=0.01, fragment_gap=2, seed=7).synth_config(), 8)
-    for scene in scenes:
-        for ring in (0, 1, 2):
-            assert_matches_reference(scene.frame, DiffusionConfig(), ring)
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            for scene in scenes:
+                for ring in (0, 1, 2):
+                    assert_matches_reference(scene.frame, DiffusionConfig(), ring)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.one_of(st.tuples(st.just(1), st.integers(1, 12)),
+                    st.tuples(st.integers(1, 12), st.just(1))),
+    substeps=st.integers(1, 9),
+    coupling=st.floats(0.001, 0.25),
+    seed=st.integers(0, 10**6),
+)
+def test_thin_grids_and_buffer_swap_parity(shape, substeps, coupling, seed):
+    """1-wide rows and columns at odd and even substep counts.
+
+    After the run the grid holds the reference's last substep and the other
+    buffer the one before it, both inside an all-zero border, so the buffers
+    swapped once per substep.
+    """
+    volts = np.random.default_rng(seed).random(shape)
+    states = [AnalogState(volts, ring=0)]
+    for _ in range(substeps):
+        states.append(reference.substep(states[-1], coupling))
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            stencil = _embed(volts, 0)
+            stencil.run(coupling, substeps)
+            cur, nxt = (b.reshape(-1, shape[1] + 2) for b in (stencil._cur, stencil._nxt))
+            assert_same_bits(cur[1:-1, 1:-1], states[-1].volts)
+            if substeps > 1:
+                assert_same_bits(nxt[1:-1, 1:-1], states[-2].volts)
+            for buffer in (cur, nxt):
+                for border in (buffer[0], buffer[-1], buffer[:, 0], buffer[:, -1]):
+                    assert not border.any()
 
 
 def random_frame(rng: np.random.Generator, shape: tuple[int, int]) -> BinaryFrame:
@@ -138,34 +204,36 @@ def test_reused_workspace_never_leaks_state():
     workspace, and every returned state is checked again at the end, after
     the workspace has been overwritten many times.
     """
-    rng = np.random.default_rng(13)
-    probe_cfg = DiffusionConfig()
-    probe_steps = probe_diffusion_speed(8, 6, "corner", probe_cfg)
-    cases = [(shape, ring) for shape in ((1, 7), (7, 1), (5, 9), (1, 1)) for ring in (0, 1, 2)]
-    kept = []
-    for i in rng.permutation(len(cases * 3)):
-        shape, ring = cases[i % len(cases)]
-        cfg = DiffusionConfig(
-            substeps_per_pulse=int(rng.integers(1, 6)),
-            amplitude=float(rng.choice([0.0, 0.5, 1.0])),
-            pulses=int(rng.integers(1, 4)),
-            ring=ring,
-        )
-        for _ in range(2):
-            frame = random_frame(rng, shape)
-            state, want = apply_pulses(frame, cfg), reference.apply_pulses(frame, cfg, ring)
-            assert_same_bits(state.volts, want.volts)
-            kept.append((state, want))
-            assert_same_bits(restore_image(frame, cfg).pixels,
-                             reference.restore_image(frame, cfg, ring).pixels)
-        if i % 3 == 0:
-            assert probe_diffusion_speed(8, 6, "corner", probe_cfg) == probe_steps
-        else:
-            analog = AnalogState(rng.random((shape[0] + 2 * ring, shape[1] + 2 * ring)), ring)
-            assert_same_bits(diffuse_substep(analog, 0.2).volts,
-                             reference.substep(analog, 0.2).volts)
-    for state, want in kept:
-        assert_same_bits(state.volts, want.volts)
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            rng = np.random.default_rng(13)
+            probe_cfg = DiffusionConfig()
+            probe_steps = probe_diffusion_speed(8, 6, "corner", probe_cfg)
+            cases = [(shape, ring) for shape in ((1, 7), (7, 1), (5, 9), (1, 1)) for ring in (0, 1, 2)]
+            kept = []
+            for i in rng.permutation(len(cases * 3)):
+                shape, ring = cases[i % len(cases)]
+                cfg = DiffusionConfig(
+                    substeps_per_pulse=int(rng.integers(1, 6)),
+                    amplitude=float(rng.choice([0.0, 0.5, 1.0])),
+                    pulses=int(rng.integers(1, 4)),
+                    ring=ring,
+                )
+                for _ in range(2):
+                    frame = random_frame(rng, shape)
+                    state, want = apply_pulses(frame, cfg), reference.apply_pulses(frame, cfg, ring)
+                    assert_same_bits(state.volts, want.volts)
+                    kept.append((state, want))
+                    assert_same_bits(restore_image(frame, cfg).pixels,
+                                     reference.restore_image(frame, cfg, ring).pixels)
+                if i % 3 == 0:
+                    assert probe_diffusion_speed(8, 6, "corner", probe_cfg) == probe_steps
+                else:
+                    analog = AnalogState(rng.random((shape[0] + 2 * ring, shape[1] + 2 * ring)), ring)
+                    assert_same_bits(diffuse_substep(analog, 0.2).volts,
+                                     reference.substep(analog, 0.2).volts)
+            for state, want in kept:
+                assert_same_bits(state.volts, want.volts)
 
 
 def test_apply_pulses_returns_memory_it_owns():
@@ -184,11 +252,12 @@ def test_apply_pulses_returns_memory_it_owns():
 
 
 def test_results_do_not_depend_on_worker_count():
-    """Mixed-shape frames through the evaluate pool give the same bits at 1, 2 and 4 workers.
+    """Mixed-shape frames through the evaluate pool give the reference's bits at 1, 2 and 4 workers.
 
-    The frames are large enough that numpy releases the GIL inside a substep,
-    and the short switch interval interleaves the threads finely, so a
-    workspace shared between pool threads would most likely show as a mismatch.
+    The frames are large enough that numpy releases the GIL inside a substep
+    (ctypes releases it for every compiled call), and the short switch
+    interval interleaves the threads finely, so a workspace shared between
+    pool threads would most likely show as a mismatch.
     """
     from cramsim.oracle import _pool_map
 
@@ -201,15 +270,18 @@ def test_results_do_not_depend_on_worker_count():
         frame, cfg = item
         return apply_pulses(frame, cfg).volts, restore_image(frame, cfg).pixels
 
-    want = _pool_map(run, items, 1)
+    want = [(reference.apply_pulses(frame, cfg, cfg.ring).volts,
+             reference.restore_image(frame, cfg, cfg.ring).pixels) for frame, cfg in items]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for workers in (2, 4):
-            for (volts, pixels), (want_volts, want_pixels) in zip(_pool_map(run, items, workers),
-                                                                  want, strict=True):
-                assert_same_bits(volts, want_volts)
-                assert_same_bits(pixels, want_pixels)
+        for kernel in KERNELS:
+            with kernel_in_use(kernel):
+                for workers in (1, 2, 4):
+                    for (volts, pixels), (want_volts, want_pixels) in zip(
+                            _pool_map(run, items, workers), want, strict=True):
+                        assert_same_bits(volts, want_volts)
+                        assert_same_bits(pixels, want_pixels)
     finally:
         sys.setswitchinterval(interval)
 
@@ -229,11 +301,13 @@ def test_single_center_substep_exact_values():
 @settings(max_examples=30, deadline=None)
 @given(volts=volt_grids, coupling=st.floats(0.01, 0.25), steps=st.integers(1, 50))
 def test_substeps_conserve_total_charge(volts, coupling, steps):
-    state = AnalogState(volts, ring=0)
-    total0 = state.volts.sum()
-    for _ in range(steps):
-        state = diffuse_substep(state, coupling)
-    assert abs(state.volts.sum() - total0) <= 1e-12 * max(total0, 1.0)
+    total0 = volts.sum()
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            state = AnalogState(volts, ring=0)
+            for _ in range(steps):
+                state = diffuse_substep(state, coupling)
+            assert abs(state.volts.sum() - total0) <= 1e-12 * max(total0, 1.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -248,15 +322,21 @@ def test_substep_preserves_value_range(volts, coupling):
 def test_substep_equivariance_is_bit_exact():
     rng = np.random.default_rng(11)
     volts = rng.random((16, 16))
-    state = AnalogState(volts, ring=0)
+    want = AnalogState(volts, ring=0)
     for _ in range(8):
-        state = diffuse_substep(state, 0.2)
-    base = state.volts
-    for xform in (np.transpose, np.flipud, np.fliplr):
-        alt = AnalogState(np.ascontiguousarray(xform(volts)), ring=0)
-        for _ in range(8):
-            alt = diffuse_substep(alt, 0.2)
-        assert np.array_equal(alt.volts, xform(base))
+        want = reference.substep(want, 0.2)
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            state = AnalogState(volts, ring=0)
+            for _ in range(8):
+                state = diffuse_substep(state, 0.2)
+            base = state.volts
+            assert_same_bits(base, want.volts)
+            for xform in (np.transpose, np.flipud, np.fliplr):
+                alt = AnalogState(np.ascontiguousarray(xform(volts)), ring=0)
+                for _ in range(8):
+                    alt = diffuse_substep(alt, 0.2)
+                assert np.array_equal(alt.volts, xform(base))
 
 
 def test_substep_coupling_bounds():
