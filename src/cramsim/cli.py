@@ -1,25 +1,17 @@
 """cram-sim command-line front end.
 
-Five subcommands cover the pipeline end to end:
-
-  synth    write a synthetic corpus (PBM frames + ground-truth boxes)
-  restore  diffuse-and-threshold input frames, flag blank results
-  propose  run region proposal on input frames, report cycle counts
-  eval     score proposals against ground truth over a corpus
-  probe    measure diffusion step counts at center and corner
-
-``keys`` lists the configuration keys. The other five take ``--config
-FILE`` and a ``--section.key value`` override for any key, in any order
-after the command and spelled in full (``--key=value`` if the value starts
-with ``-``); one argparse parser reads them all, so a usage error is one
-``cram-sim: error:`` line with exit code 2. Outputs go under ``--out``
-(default: current directory), which is created with the first output
-file, so a command that fails its checks leaves none; an ``--out`` that
-names an existing non-directory fails before any work.
-Files are written via a temp-and-rename so an interrupted run never
-leaves partial output.
-Worker-thread count comes from the CRAM_SIM_THREADS environment
-variable; unset or 0 means one worker per CPU.
+``COMMANDS`` declares each command once: its help, its own arguments and
+its handler. The command name comes first; the command's own parser reads
+the rest intermixed, so inputs, ``--config FILE``, ``--out DIR`` and
+``--section.key value`` overrides go in any order. Options are spelled in
+full (``--key=value`` if the value starts with ``-``), and a usage error is
+one ``cram-sim: error:`` line with exit code 2. Outputs go under ``--out``
+(default: current directory), created with the first output file, so a
+command that fails its checks leaves none; an empty ``--out`` or one that
+names an existing non-directory fails before any work. Files are written
+via a temp-and-rename so an interrupted run never leaves partial output.
+Worker-thread count comes from the CRAM_SIM_THREADS environment variable;
+unset or 0 means one worker per CPU.
 """
 
 from __future__ import annotations
@@ -30,6 +22,7 @@ import functools
 import os
 import sys
 import tempfile
+from typing import NamedTuple
 
 from .config import RunConfig, known_keys, load_config
 from .diffusion import (
@@ -114,10 +107,7 @@ def _collect_pbm_inputs(paths: list[str]) -> list[str]:
 
 
 def _stem(path: str) -> str:
-    name = os.path.basename(path)
-    if name.endswith(".pbm"):
-        name = name[: -len(".pbm")]
-    return name
+    return os.path.basename(path).removesuffix(".pbm")
 
 
 def _map_frames(func, items: list, workers: int) -> list:
@@ -129,26 +119,23 @@ def _map_frames(func, items: list, workers: int) -> list:
     return _pool_map(func, items, workers)
 
 
-# ---------------------------------------------------------------- synth
+# ------------------------------------------------------------- commands
 
 
-def cmd_synth(cfg: RunConfig, out: str) -> int:
+def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .synth import generate_corpus
 
     scenes = generate_corpus(cfg.synth_config(), cfg.synth_frames)
     for i, scene in enumerate(scenes):
-        base = os.path.join(out, f"frame_{i:05d}")
+        base = os.path.join(args.out, f"frame_{i:05d}")
         _write_bytes(base + ".pbm", frame_to_bytes(scene.frame))
         _write_text(base + ".gt.json", boxes_to_json(scene.gt))
-    print(f"wrote {len(scenes)} frames to {out}")
+    print(f"wrote {len(scenes)} frames to {args.out}")
     return 0
 
 
-# -------------------------------------------------------------- restore
-
-
-def cmd_restore(cfg: RunConfig, inputs: list[str], out: str, emit_analog: bool) -> int:
-    paths = _collect_pbm_inputs(inputs)
+def cmd_restore(cfg: RunConfig, args: argparse.Namespace) -> int:
+    paths = _collect_pbm_inputs(args.inputs)
     dcfg = cfg.diffusion_config()
     _check_max_ones(cfg.blank_max_ones)
 
@@ -156,24 +143,21 @@ def cmd_restore(cfg: RunConfig, inputs: list[str], out: str, emit_analog: bool) 
         stem = _stem(path)
         state = apply_pulses(load_frame(path), dcfg)
         restored = threshold_restore(state, dcfg)
-        if emit_analog:
-            _write_bytes(os.path.join(out, stem + ".analog.pgm"), analog_to_bytes(state))
-        _write_bytes(os.path.join(out, stem + ".restored.pbm"), frame_to_bytes(restored))
+        if args.emit_analog:
+            _write_bytes(os.path.join(args.out, stem + ".analog.pgm"), analog_to_bytes(state))
+        _write_bytes(os.path.join(args.out, stem + ".restored.pbm"), frame_to_bytes(restored))
         return stem, blank_frame_detect(restored, max_ones=cfg.blank_max_ones)
 
     rows = _map_frames(one, paths, worker_count())
     lines = ["frame,blank"]
     lines += [f"{stem},{'true' if blank else 'false'}" for stem, blank in rows]
-    _write_text(os.path.join(out, "blank.csv"), "\n".join(lines) + "\n")
-    print(f"restored {len(rows)} frames to {out}")
+    _write_text(os.path.join(args.out, "blank.csv"), "\n".join(lines) + "\n")
+    print(f"restored {len(rows)} frames to {args.out}")
     return 0
 
 
-# -------------------------------------------------------------- propose
-
-
-def cmd_propose(cfg: RunConfig, inputs: list[str], out: str) -> int:
-    paths = _collect_pbm_inputs(inputs)
+def cmd_propose(cfg: RunConfig, args: argparse.Namespace) -> int:
+    paths = _collect_pbm_inputs(args.inputs)
     dcfg = cfg.diffusion_config()
     rp = cfg.rp_config()
     substeps = dcfg.pulses * dcfg.substeps_per_pulse if cfg.propose_restore else 0
@@ -185,17 +169,14 @@ def cmd_propose(cfg: RunConfig, inputs: list[str], out: str) -> int:
         res = region_propose(frame, rp)
         cells = (frame.height + 2 * dcfg.ring) * (frame.width + 2 * dcfg.ring)
         stem = _stem(path)
-        _write_text(os.path.join(out, stem + ".boxes.json"), boxes_to_json(res.boxes))
+        _write_text(os.path.join(args.out, stem + ".boxes.json"), boxes_to_json(res.boxes))
         return ",".join(map(str, (stem, len(res.boxes), *cost_report(res, substeps, cells))))
 
     rows = _map_frames(one, paths, worker_count())
     lines = ["frame_id,n_objects,imc_cycles,total_cycles,diffusion_ops,projection_ops"]
-    _write_text(os.path.join(out, "cycles.csv"), "\n".join(lines + rows) + "\n")
-    print(f"proposed regions for {len(rows)} frames to {out}")
+    _write_text(os.path.join(args.out, "cycles.csv"), "\n".join(lines + rows) + "\n")
+    print(f"proposed regions for {len(rows)} frames to {args.out}")
     return 0
-
-
-# ----------------------------------------------------------------- eval
 
 
 def _load_corpus(corpus: str) -> list[FrameSample]:
@@ -224,8 +205,8 @@ def _load_corpus(corpus: str) -> list[FrameSample]:
     return samples
 
 
-def cmd_eval(cfg: RunConfig, corpus: str, out: str) -> int:
-    samples = _load_corpus(corpus)
+def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
+    samples = _load_corpus(args.corpus)
     results = evaluate_sweep(
         samples, cfg.eval_pipeline(), cfg.eval_sweep_amplitudes, cfg.eval_sweep_substeps,
         cfg.eval_iou_thresholds, workers=worker_count(),
@@ -236,26 +217,55 @@ def cmd_eval(cfg: RunConfig, corpus: str, out: str) -> int:
         f"{r.f1:.6f},{setting_id},{r.weighted_f1:.6f}"
         for setting_id, reports in results for r in reports
     ]
-    _write_text(os.path.join(out, "report.csv"), "\n".join(lines) + "\n")
-    print(f"evaluated {len(samples)} frames; report in {out}/report.csv")
+    path = os.path.join(args.out, "report.csv")
+    _write_text(path, "\n".join(lines) + "\n")
+    print(f"evaluated {len(samples)} frames; report in {path}")
     return 0
 
 
-# ---------------------------------------------------------------- probe
-
-
-def cmd_probe(cfg: RunConfig, out: str) -> int:
+def cmd_probe(cfg: RunConfig, args: argparse.Namespace) -> int:
     dcfg = cfg.diffusion_config()
     lines = ["location,steps"]
     for location in ("center", "corner"):
         res = probe_diffusion_speed(cfg.frame_width, cfg.frame_height, location, dcfg)
         lines.append(f"{res.location},{res.steps_to_threshold}")
-    _write_text(os.path.join(out, "probe.csv"), "\n".join(lines) + "\n")
-    print(f"probe results in {out}/probe.csv")
+    path = os.path.join(args.out, "probe.csv")
+    _write_text(path, "\n".join(lines) + "\n")
+    print(f"probe results in {path}")
+    return 0
+
+
+def cmd_keys(cfg: None, args: argparse.Namespace) -> int:
+    print("\n".join(known_keys()))
     return 0
 
 
 # ----------------------------------------------------------- dispatcher
+
+
+class Command(NamedTuple):
+    help: str
+    arguments: tuple[str, ...]  # its own arguments, each a key of _ARGUMENTS
+    handler: str  # the name of this module's (cfg, args) -> exit code function
+    configured: bool = True  # takes --config, --out and an override per key
+
+
+# A handler is named, not held, and looked up at each call, so a profiler
+# that replaces the module's function sees the call.
+COMMANDS = {
+    "synth": Command("generate a synthetic corpus", (), "cmd_synth"),
+    "restore": Command("denoise frames by diffuse-and-threshold", ("inputs", "--emit-analog"),
+                       "cmd_restore"),
+    "propose": Command("run region proposal on frames", ("inputs",), "cmd_propose"),
+    "eval": Command("score proposals against ground truth", ("corpus",), "cmd_eval"),
+    "probe": Command("measure diffusion steps to threshold", (), "cmd_probe"),
+    "keys": Command("list recognized configuration keys", (), "cmd_keys", configured=False),
+}
+_ARGUMENTS = {
+    "inputs": {"nargs": "+", "help": "PBM files or directories"},
+    "corpus": {"help": "directory of frame_*.pbm plus *.gt.json"},
+    "--emit-analog": {"action": "store_true", "help": "also write pre-threshold voltages as PGM"},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -273,39 +283,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+def _top_parser() -> argparse.ArgumentParser:
+    """The parser of the first argument, the command name."""
+    commands = "".join(f"  {name:<9}{command.help}\n" for name, command in COMMANDS.items())
     parser = _Parser(
-        prog="cram-sim",
-        description="Behavioral simulator for a diffuse-then-project vision pipeline.",
-        epilog="Any configuration key may be overridden as --key value; "
-               "see cram-sim keys for the list.",
+        prog="cram-sim", usage="%(prog)s [-h] command ...",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Behavioral simulator for a diffuse-then-project vision pipeline.\n\n"
+                    f"commands:\n{commands}",
+        epilog="Inputs, options and --key value overrides follow the command in any order;\n"
+               "see cram-sim <command> --help for its options and cram-sim keys for the keys.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument("command", choices=COMMANDS, help=argparse.SUPPRESS)
+    return parser
 
-    common = argparse.ArgumentParser(add_help=False)  # the options of every command but keys
-    common.add_argument("--config", default=None, help="path to a key=value config file")
-    common.add_argument("--out", default=".", help="output directory (created if missing)")
-    for key in known_keys():
-        common.add_argument(f"--{key}", dest=key, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
-    sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
-
-    p_restore = sub.add_parser("restore", parents=[common],
-                               help="denoise frames by diffuse-and-threshold")
-    p_restore.add_argument("inputs", nargs="+", help="PBM files or directories")
-    p_restore.add_argument("--emit-analog", action="store_true",
-                           help="also write pre-threshold voltages as PGM")
-
-    p_propose = sub.add_parser("propose", parents=[common], help="run region proposal on frames")
-    p_propose.add_argument("inputs", nargs="+", help="PBM files or directories")
-
-    p_eval = sub.add_parser("eval", parents=[common], help="score proposals against ground truth")
-    p_eval.add_argument("corpus", help="directory of frame_*.pbm plus *.gt.json")
-
-    sub.add_parser("probe", parents=[common], help="measure diffusion steps to threshold")
-
-    sub.add_parser("keys", help="list recognized configuration keys")
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command's arguments, built on first use; parsing leaves it unchanged."""
+    command = COMMANDS[name]
+    parser = _Parser(prog=f"cram-sim {name}", description=command.help)
+    for argument in command.arguments:
+        parser.add_argument(argument, **_ARGUMENTS[argument])
+    if command.configured:
+        parser.add_argument("--config", default=None, help="path to a key=value config file")
+        parser.add_argument("--out", default=".", help="output directory (created if missing)")
+        for key in known_keys():
+            parser.add_argument(f"--{key}", dest=key, default=argparse.SUPPRESS,
+                                help=argparse.SUPPRESS)
+    # parse_intermixed_args formats the usage on every call unless it is set
+    parser.usage = parser.format_usage().removeprefix("usage: ").rstrip()
     return parser
 
 
@@ -316,32 +323,23 @@ def _one_line(message: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
-        if args.command == "keys":
-            for key in known_keys():
-                print(key)
-            return 0
-        # the keys given on the command line are the dotted names argparse set
-        overrides = [(name, value) for name, value in vars(args).items() if "." in name]
-        cfg = load_config(args.config, overrides)
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.out)
-        if args.command == "synth":
-            return cmd_synth(cfg, args.out)
-        if args.command == "restore":
-            return cmd_restore(cfg, args.inputs, args.out, args.emit_analog)
-        if args.command == "propose":
-            return cmd_propose(cfg, args.inputs, args.out)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.corpus, args.out)
-        return cmd_probe(cfg, args.out)  # argparse admits no other command
-    except CramSimError as exc:
+        name = _top_parser().parse_args(argv[:1]).command
+        args = _command_parser(name).parse_intermixed_args(argv[1:])
+        cfg = None
+        if COMMANDS[name].configured:
+            if not args.out:
+                raise ConfigError("argument --out: expected a directory, got ''")
+            # the keys given on the command line are the dotted names argparse set
+            overrides = [(key, value) for key, value in vars(args).items() if "." in key]
+            cfg = load_config(args.config, overrides)
+            if os.path.exists(args.out) and not os.path.isdir(args.out):
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.out)
+        return globals()[COMMANDS[name].handler](cfg, args)
+    except (CramSimError, OSError) as exc:
         print(f"cram-sim: error: {_one_line(str(exc))}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"cram-sim: error: {_one_line(str(exc))}", file=sys.stderr)
-        return 1
+        return exc.exit_code if isinstance(exc, CramSimError) else 1
 
 
 if __name__ == "__main__":

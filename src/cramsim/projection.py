@@ -157,7 +157,9 @@ def line_trips(n_ones: int | np.ndarray, cfg: ProjectionConfig) -> np.bool_ | np
 @dataclass
 class IssResult:
     """The search's final candidates, one row [r0, r1, c0, c1] each, sorted by
-    (r0, c0, r1, c1), with its iteration count, trace and sensed cells."""
+    (r0, c0, r1, c1), with its iteration count, trace and the cells each pass
+    sensed: projection_cells[0] is the full-axis projection, every later entry
+    the summed area of the candidates that pass projected."""
 
     candidates: np.ndarray
     iterations: int
@@ -256,12 +258,13 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
             break
         prev_count = len(candidates)
 
-    sensed = np.concatenate(passes)
-    sides = sensed[:, 1::2] - sensed[:, ::2] + 1
+    cells = [int((p[:, 1] - p[:, 0] + 1) @ (p[:, 3] - p[:, 2] + 1)) for p in passes]
     order = np.lexsort(candidates.T[[3, 1, 2, 0]])  # by r0, then c0, r1, c1
-    # passes[0] is the full-axis projection; every later row is one region projection
-    trace = CycleTrace({FULL_AXIS_PROJECTION: 1, REGION_PROJECTION: len(sensed) - 1})
-    return IssResult(candidates[order], iterations, trace, sides.prod(axis=1).tolist())
+    # passes[0] is the full-axis projection; a later pass makes one region
+    # projection per candidate
+    regions = sum(map(len, passes)) - 1
+    trace = CycleTrace({FULL_AXIS_PROJECTION: 1, REGION_PROJECTION: regions})
+    return IssResult(candidates[order], iterations, trace, cells)
 
 
 def rp_update(new_boxes: np.ndarray, cfg: RpConfig) -> list[Box]:

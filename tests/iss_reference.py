@@ -2,7 +2,7 @@
 
 Every candidate is refined by its own call, one block sum and one run split
 at a time. The batched search must give the same candidates, iteration count,
-op counts and sensed cells.
+op counts and cells sensed per pass, here summed one candidate at a time.
 """
 
 from __future__ import annotations
@@ -61,10 +61,12 @@ def reference_iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
         axis = "cols" if iterations % 2 == 1 else "rows"
         iterations += 1
         refined: list[Box] = []
+        sensed = 0
         for cand in candidates:
             regions += 1
-            cells.append(cand.area)
+            sensed += cand.area
             refined.extend(refine(frame.pixels, cand, axis, pcfg))
+        cells.append(sensed)
         candidates = refined
         if len(candidates) == prev_count:
             break

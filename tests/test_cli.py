@@ -487,6 +487,20 @@ def test_unusable_paths_fail_with_one_error_line(tmp_path, capsys, monkeypatch, 
     assert len(err) == 1 and err[0].startswith("cram-sim: error: ")
 
 
+@pytest.mark.parametrize("command", [["synth"], ["restore", "CORPUS"], ["propose", "CORPUS"],
+                                     ["eval", "CORPUS"], ["probe"]])
+def test_empty_out_is_a_usage_error(tmp_path, corpus, capsys, monkeypatch, command):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)  # an empty --out must not mean the current directory
+    capsys.readouterr()
+    argv = [str(corpus) if arg == "CORPUS" else arg for arg in command]
+    assert run_cli(*argv, "--out", "") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["cram-sim: error: argument --out: expected a directory, got ''"]
+    assert not any(work.iterdir())
+
+
 def test_override_equals_form(tmp_path):
     out = tmp_path / "p"
     assert run_cli("probe", "--out", str(out), "--frame.width=64",
@@ -501,12 +515,23 @@ def test_override_missing_value(tmp_path):
 @pytest.mark.parametrize("command,override", [
     ("eval", ["--pipeline.restore", "false"]),
     ("restore", ["--frame.ring", "2"]),
+    ("propose", ["--propose.restore", "true"]),
 ])
 def test_override_before_positional_is_the_same_run(tmp_path, corpus, command, override):
-    before, after = tmp_path / "before", tmp_path / "after"
-    assert run_cli(command, *override, str(corpus), "--out", str(before)) == 0
-    assert run_cli(command, str(corpus), *override, "--out", str(after)) == 0
-    assert _tree(before) == _tree(after) and _tree(before)
+    inputs = [str(corpus)]
+    if command != "eval":  # restore and propose take more inputs, split here by the override
+        second = tmp_path / "second"
+        second.mkdir()
+        for frame in sorted(corpus.glob("*.pbm"))[:2]:
+            (second / f"second_{frame.name}").write_bytes(frame.read_bytes())
+        inputs.append(str(second))
+    orders = {"before": [*override, *inputs], "after": [*inputs, *override],
+              "between": [inputs[0], *override, *inputs[1:]]}
+    trees = []
+    for name, argv in orders.items():
+        assert run_cli(command, *argv, "--out", str(tmp_path / name)) == 0
+        trees.append(_tree(tmp_path / name))
+    assert trees[0] and all(tree == trees[0] for tree in trees)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -569,7 +594,17 @@ def test_help_exits_zero_in_process(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: cram-sim")
+    out = capsys.readouterr().out
+    assert out.startswith("usage: cram-sim")
+    assert all(f"  {name} " in out for name in ("synth", "restore", "propose", "eval", "keys"))
+
+
+@pytest.mark.parametrize("command", ["synth", "restore", "propose", "eval", "probe", "keys"])
+def test_command_help_exits_zero_in_process(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: cram-sim {command} [-h]")
 
 
 def test_keys_subcommand(capsys):
@@ -643,7 +678,7 @@ def test_corrupt_inputs_fail_with_one_error_line(command, edits):
 
 ARGV_WORDS = [
     "synth", "restore", "propose", "eval", "probe", "keys",  # commands
-    "CORPUS", "stray", "8", "false",  # the corpus and stray words
+    "CORPUS", "FRAME", "stray", "8", "false",  # the corpus, a frame in it and stray words
     "--frame.width", "--frame.ring", "--synth.frames", "--pipeline.restore",  # keys
     "--diffusion.alph",  # an abbreviated key
     "--synth.seed=-1", "-0.5,1", "", "--config", "--out",
@@ -660,7 +695,8 @@ def test_any_argv_ends_in_one_error_line_or_none(words):
         (root / "corpus").mkdir()
         for name in ("corpus/f.pbm", "corpus/f.gt.json"):
             (root / name).write_bytes(FUZZ_FILES[name])
-        argv = [str(root / "corpus") if w == "CORPUS" else w for w in words]
+        paths = {"CORPUS": str(root / "corpus"), "FRAME": str(root / "corpus" / "f.pbm")}
+        argv = [paths.get(w, w) for w in words]
         err = io.StringIO()
         cwd = os.getcwd()
         os.chdir(root)  # a relative --out or stray path stays inside the temporary directory

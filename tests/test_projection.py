@@ -96,7 +96,9 @@ def test_project_rows_and_cols_with_mask():
     # splits the row-3 corners apart and narrows row 1 to the middle columns
     res = iss(f, RpConfig(max_iters=2))
     assert res.boxes == [Box(1, 1, 1, 2), Box(3, 3, 0, 0), Box(3, 3, 3, 3)]
-    assert res.projection_cells == [16, 4, 4]
+    # one entry per pass: the full-axis projection, then both row-band candidates
+    assert res.projection_cells == [16, 4 + 4]
+    assert len(res.projection_cells) == res.iterations
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,6 +179,7 @@ def test_iss_empty_frame_single_projection():
     assert res.iterations == 1
     assert trace_cycles(res.trace) == 8
     assert res.projection_cells == [256]
+    assert len(res.projection_cells) == res.iterations
 
 
 def test_iss_single_object_two_iterations():
@@ -188,6 +191,7 @@ def test_iss_single_object_two_iterations():
     assert trace_cycles(res.trace) == 16
     # region projection senses only the row-band candidate
     assert res.projection_cells == [256, 4 * 16]
+    assert len(res.projection_cells) == res.iterations
 
 
 def test_iss_two_diagonal_objects():
@@ -306,6 +310,7 @@ def assert_same_search(frame: BinaryFrame, cfg: RpConfig) -> None:
     assert got.iterations == want.iterations
     assert got.trace == want.trace
     assert got.projection_cells == want.projection_cells
+    assert len(got.projection_cells) == got.iterations
 
 
 frame_shapes = st.one_of(
@@ -350,6 +355,7 @@ def test_iss_ignores_ones_on_lines_that_did_not_trip():
     res = iss(f, cfg)
     assert res.boxes == []
     assert res.projection_cells == [4, 2]
+    assert len(res.projection_cells) == res.iterations
     assert_same_search(f, cfg)
 
 

@@ -104,7 +104,9 @@ def test_cost_report_accumulates_projections():
     f.pixels[40:44, 30:33] = 1
     res = region_propose(f, RpConfig())
     cost = cost_report(res, substeps=2 * 8, cells=66 * 66)
-    assert res.search.projection_cells == [64 * 64, 10 * 64, 4 * 64]
+    # one entry per pass: the full frame, then both row-band candidates together
+    assert res.search.projection_cells == [64 * 64, 10 * 64 + 4 * 64]
+    assert len(res.search.projection_cells) == res.search.iterations
     assert cost.projection_ops == 64 * 64 + 10 * 64 + 4 * 64
     assert cost.diffusion_ops == 2 * 8 * 66 * 66 * 5
     assert cost.imc_cycles == trace_cycles(res.search.trace) == 24
