@@ -1,11 +1,15 @@
-"""The compiled diffusion substep: `_substep.c`, built with the system C compiler on first use.
+"""The compiled kernels: `_kernel.c`, built with the system C compiler on first use.
 
-The shared library is cached per user under ``$XDG_CACHE_HOME/cramsim``
-(``~/.cache/cramsim`` by default), in a file named by a hash of the source,
-the compiler flags and the machine type, so an edited source or another
-architecture never loads a stale build. If it cannot be built or loaded, for
-any reason, :func:`substeps` returns None for the rest of the process and the
-caller keeps its numpy kernel; nothing is printed.
+The one source holds the diffusion substeps (:func:`substeps`, used by
+``diffusion._Stencil.run``) and the projection search (:func:`search`, used
+by ``projection.iss``); both go into one shared library, built or loaded
+once per process on the first call to either. The library is cached per
+user under ``$XDG_CACHE_HOME/cramsim`` (``~/.cache/cramsim`` by default), in
+a file named by a hash of the source, the compiler flags and the machine
+type, so an edited source or another architecture never loads a stale build.
+If it cannot be built or loaded, for any reason, both functions return None
+for the rest of the process and the callers keep their numpy kernels;
+nothing is printed. ctypes releases the GIL for the length of each call.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from __future__ import annotations
 import os
 import threading
 from pathlib import Path
+from typing import NamedTuple
 
-_SOURCE = Path(__file__).with_name("_substep.c")
+_SOURCE = Path(__file__).with_name("_kernel.c")
 _CC = "cc"
 # -ffp-contract=off: no fused multiply-adds, so the bits equal the numpy kernel's.
 # Never -ffast-math (reorders the arithmetic) or -march=native (a cache shared
@@ -22,25 +27,40 @@ _CC = "cc"
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILE_TIMEOUT_S = 120
 
+
+class _Kernels(NamedTuple):
+    substeps: object
+    search: object
+
+
 _UNTRIED = object()
-_kernel = _UNTRIED  # the loaded function, or None for the numpy kernel
+_kernels = _UNTRIED  # the loaded _Kernels, or None for the numpy kernels
 _lock = threading.Lock()
 
 
-def substeps():
-    """``f(cur_addr, nxt_addr, rows, cols, coupling, substeps)``, or None without a compiler.
-
-    The first call builds or loads the library; a failure is not retried.
-    ctypes releases the GIL for the length of each call.
-    """
-    global _kernel
-    kernel = _kernel
-    if kernel is _UNTRIED:
+def _loaded():
+    """The library's kernels; the first call builds or loads it, and a failure is not retried."""
+    global _kernels
+    kernels = _kernels
+    if kernels is _UNTRIED:
         with _lock:
-            if _kernel is _UNTRIED:
-                _kernel = _load()
-            kernel = _kernel
-    return kernel
+            if _kernels is _UNTRIED:
+                _kernels = _load()
+            kernels = _kernels
+    return kernels
+
+
+def substeps():
+    """``f(cur_addr, nxt_addr, rows, cols, coupling, substeps)``, or None without a compiler."""
+    kernels = _loaded()
+    return None if kernels is None else kernels.substeps
+
+
+def search():
+    """``f(pixels_addr, rows, cols, trips_addr, max_iters, capacity, work_addr, info_addr)``,
+    or None without a compiler; it returns the candidate count, or -1 if it declined."""
+    kernels = _loaded()
+    return None if kernels is None else kernels.search
 
 
 def _load():
@@ -58,17 +78,17 @@ def _load():
         if cache is None:
             scratch = tempfile.mkdtemp(prefix="cramsim-")
             try:
-                path = os.path.join(scratch, "substep.so")
+                path = os.path.join(scratch, "kernel.so")
                 build(path)
                 lib = ctypes.CDLL(path)  # the mapping outlives the file
             finally:
                 shutil.rmtree(scratch, ignore_errors=True)
         else:
-            path = os.path.join(cache, f"substep-{_build_key()}.so")
+            path = os.path.join(cache, f"kernel-{_build_key()}.so")
             try:
                 lib = ctypes.CDLL(path)
             except OSError:  # missing, or a broken file: build it and swap it in
-                fd, tmp = tempfile.mkstemp(prefix=".substep-", suffix=".so", dir=cache)
+                fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so", dir=cache)
                 os.close(fd)
                 try:
                     build(tmp)
@@ -77,13 +97,15 @@ def _load():
                     if os.path.exists(tmp):
                         os.unlink(tmp)
                 lib = ctypes.CDLL(path)
-        fn = lib.cramsim_substeps
+        kernels = _Kernels(lib.cramsim_substeps, lib.cramsim_search)
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
-                   ctypes.c_double, ctypes.c_long)
-    fn.restype = None
-    return fn
+    long, ptr = ctypes.c_long, ctypes.c_void_p
+    kernels.substeps.argtypes = (ptr, ptr, long, long, ctypes.c_double, long)
+    kernels.substeps.restype = None
+    kernels.search.argtypes = (ptr, long, long, ptr, long, long, ptr, ptr)
+    kernels.search.restype = long
+    return kernels
 
 
 def _build_key() -> str:

@@ -10,6 +10,11 @@ merges boxes whose row and column gaps are both under the slot thresholds,
 which stitches fragmented objects back together. Candidates stay an (n, 4)
 array through the search and the size filter; Box objects are built only
 for the boxes that survive it, and for the raw search result on demand.
+
+The search runs in the compiled kernel (`_kernel.c`, loaded by `_ckernel`)
+in one call per frame, outside the GIL, when this host can build it; the
+batched numpy passes of `_numpy_search` are the fallback, with the same
+results. `tests/iss_reference.py` holds both to a per-candidate loop.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from . import _ckernel
 from .errors import ConfigError, InputError
 from .grid import BinaryFrame
 from .timing import (
@@ -235,13 +241,50 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     (a row and a column pass have then both completed), when no candidates
     remain, or at the max_iters cap.
 
-    Each iteration is one batched pass over every candidate. Candidates stay
-    an (n, 4) array [r0, r1, c0, c1], also in the result, and a pass counts
-    only the set pixels still inside a candidate.
+    The compiled kernel (`_ckernel.search`) runs the whole search in one
+    call, outside the GIL, when this host can build it; otherwise
+    :func:`_numpy_search` runs it, one batched numpy pass per iteration.
+    Both count only the set pixels still inside a candidate and give the
+    same candidates, in the same order.
     """
-    height, width = frame.pixels.shape
-    trips = _trip_table(cfg.projection, max(height, width))
-    points = np.array(np.divmod(np.flatnonzero(frame.pixels.view(np.bool_)), width))
+    pixels = np.ascontiguousarray(frame.pixels).view(np.bool_)
+    trips = _trip_table(cfg.projection, max(pixels.shape))
+    candidates, iterations, regions, cells = (_compiled_search(pixels, trips, cfg.max_iters)
+                                              or _numpy_search(pixels, trips, cfg.max_iters))
+    trace = CycleTrace({FULL_AXIS_PROJECTION: 1, REGION_PROJECTION: regions})
+    return IssResult(candidates, iterations, trace, cells)
+
+
+def _compiled_search(pixels: np.ndarray, trips: np.ndarray, max_iters: int):
+    """The search in one compiled call, or None without the kernel or if it declined the frame.
+
+    Returns (sorted candidates, iterations, region projections, cells per
+    pass). The kernel keeps the set pixels in work, one row each, and then
+    writes its candidates there: candidates are disjoint and each holds a
+    set pixel, so there are never more of them than rows.
+    """
+    search = _ckernel.search()
+    if search is None:
+        return None
+    capacity = np.count_nonzero(pixels)
+    work = np.empty((capacity, 4), np.int32)
+    info = np.empty(max_iters + 2, np.int64)
+    n = search(pixels.ctypes.data, *pixels.shape, trips.ctypes.data, max_iters, capacity,
+               work.ctypes.data, info.ctypes.data)
+    if n < 0:
+        return None
+    iterations, regions = info[:2].tolist()
+    return work[:n].astype(np.int64), iterations, regions, info[2:2 + iterations].tolist()
+
+
+def _numpy_search(pixels: np.ndarray, trips: np.ndarray, max_iters: int):
+    """The search as one batched :func:`_project` pass per iteration.
+
+    Returns (sorted candidates, iterations, region projections, cells per
+    pass). Candidates stay an (n, 4) array [r0, r1, c0, c1] throughout.
+    """
+    height, width = pixels.shape
+    points = np.array(np.divmod(np.flatnonzero(pixels), width))
     whole = np.array([[0, height - 1, 0, width - 1]])
     candidates, points, owner = _project(
         whole, points, np.zeros_like(points[0]), 0, trips)
@@ -249,7 +292,7 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     iterations = 1
     prev_count = len(candidates)
 
-    while len(candidates) and iterations < cfg.max_iters:
+    while len(candidates) and iterations < max_iters:
         a = 2 if iterations % 2 == 1 else 0
         iterations += 1
         passes.append(candidates)
@@ -262,9 +305,7 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     order = np.lexsort(candidates.T[[3, 1, 2, 0]])  # by r0, then c0, r1, c1
     # passes[0] is the full-axis projection; a later pass makes one region
     # projection per candidate
-    regions = sum(map(len, passes)) - 1
-    trace = CycleTrace({FULL_AXIS_PROJECTION: 1, REGION_PROJECTION: regions})
-    return IssResult(candidates[order], iterations, trace, cells)
+    return candidates[order], iterations, sum(map(len, passes)) - 1, cells
 
 
 def rp_update(new_boxes: np.ndarray, cfg: RpConfig) -> list[Box]:

@@ -1,7 +1,32 @@
-import numpy as np
+import shutil
+from contextlib import contextmanager
 
+import numpy as np
+import pytest
+
+from cramsim import _ckernel
 from cramsim.grid import BinaryFrame
 from cramsim.projection import Box
+
+needs_cc = pytest.mark.skipif(shutil.which(_ckernel._CC) is None,
+                              reason="no C compiler on PATH to build the kernels")
+# The package kernels. Each bit-exact test runs on every one this host can
+# build, in a loop, so a test keeps one name whatever the host has.
+KERNELS = ("compiled", "numpy") if shutil.which(_ckernel._CC) else ("numpy",)
+
+
+@contextmanager
+def kernel_in_use(kernel: str):
+    """Diffuse and search on one set of package kernels in the body; a failed
+    assertion names it."""
+    saved = _ckernel._kernels
+    _ckernel._kernels = _ckernel._loaded() if kernel == "compiled" else None
+    try:
+        yield
+    except AssertionError as exc:
+        raise AssertionError(f"{kernel} kernel: {exc}") from exc
+    finally:
+        _ckernel._kernels = saved
 
 
 def frame_of(art: str) -> BinaryFrame:

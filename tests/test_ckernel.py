@@ -1,8 +1,8 @@
-"""Building and loading the compiled substep: every failure falls back to numpy, silently."""
+"""Building and loading the compiled kernels: every failure falls back to numpy, silently."""
 
 import functools
 import os
-import shutil
+import subprocess
 import tempfile
 import threading
 import time
@@ -11,25 +11,34 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import needs_cc
 from cramsim import _ckernel
 from cramsim.diffusion import DiffusionConfig, apply_pulses, restore_image
 from cramsim.grid import BinaryFrame
-
-needs_cc = pytest.mark.skipif(shutil.which(_ckernel._CC) is None,
-                              reason="no C compiler on PATH to build the kernel")
+from cramsim.projection import RpConfig, iss
 
 PACKAGE = Path(_ckernel.__file__).parent
 
 
-def outputs() -> tuple[bytes, bytes]:
+def outputs() -> tuple:
+    """What both kernels compute: a pulse train, its restored frame and a search."""
     frame = BinaryFrame((np.random.default_rng(3).random((30, 41)) < 0.3).astype(np.uint8))
     cfg = DiffusionConfig(pulses=2)
-    return apply_pulses(frame, cfg).volts.tobytes(), restore_image(frame, cfg).pixels.tobytes()
+    found = iss(frame, RpConfig())
+    return (apply_pulses(frame, cfg).volts.tobytes(), restore_image(frame, cfg).pixels.tobytes(),
+            found.candidates.tobytes(), found.iterations, found.trace, found.projection_cells)
+
+
+def kernels_loaded() -> bool:
+    """Both kernels come from the compiled library, or neither does."""
+    compiled = _ckernel.substeps() is not None
+    assert (_ckernel.search() is not None) == compiled
+    return compiled
 
 
 @pytest.fixture
 def numpy_outputs(monkeypatch):
-    monkeypatch.setattr(_ckernel, "_kernel", None)
+    monkeypatch.setattr(_ckernel, "_kernels", None)
     return outputs()
 
 
@@ -37,7 +46,7 @@ def numpy_outputs(monkeypatch):
 def first_use(monkeypatch, tmp_path, numpy_outputs):
     """A process that has not tried the kernel yet, with its cache and cwd under tmp_path."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(_ckernel, "_kernel", _ckernel._UNTRIED)
+    monkeypatch.setattr(_ckernel, "_kernels", _ckernel._UNTRIED)
     (tmp_path / "cwd").mkdir()
     monkeypatch.chdir(tmp_path / "cwd")
     return tmp_path
@@ -54,7 +63,7 @@ def cached_libraries(tmp_path: Path) -> list[Path]:
 def test_missing_compiler_falls_back(first_use, numpy_outputs, monkeypatch, capfd):
     monkeypatch.setattr(_ckernel, "_CC", "cramsim-no-such-compiler")
     assert outputs() == numpy_outputs
-    assert _ckernel.substeps() is None
+    assert not kernels_loaded()
     assert capfd.readouterr() == ("", "")
 
 
@@ -64,7 +73,7 @@ def test_source_that_fails_to_compile_falls_back(first_use, numpy_outputs, monke
     broken.write_text("this is not C\n")
     monkeypatch.setattr(_ckernel, "_SOURCE", broken)
     assert outputs() == numpy_outputs
-    assert _ckernel.substeps() is None
+    assert not kernels_loaded()
     assert capfd.readouterr() == ("", "")
     assert cached_libraries(first_use) == []  # the failed build's temp file is gone
 
@@ -77,7 +86,7 @@ def test_unusable_cache_builds_in_a_private_temp_dir(first_use, numpy_outputs, m
     (first_use / "tmp").mkdir()
     build_temp_dirs_in(monkeypatch, first_use / "tmp")
     assert outputs() == numpy_outputs
-    assert _ckernel.substeps() is not None
+    assert kernels_loaded()
     assert list((first_use / "tmp").iterdir()) == []
     assert capfd.readouterr() == ("", "")
 
@@ -90,7 +99,7 @@ def test_shared_cache_is_never_loaded_from(first_use, numpy_outputs, monkeypatch
     (first_use / "tmp").mkdir()
     build_temp_dirs_in(monkeypatch, first_use / "tmp")
     assert outputs() == numpy_outputs
-    assert _ckernel.substeps() is not None
+    assert kernels_loaded()
     assert list(shared.iterdir()) == []
 
 
@@ -98,7 +107,7 @@ def test_nowhere_to_build_falls_back(first_use, numpy_outputs, monkeypatch, capf
     (first_use / "cache").write_text("not a directory\n")
     build_temp_dirs_in(monkeypatch, first_use / "cache" / "tmp")
     assert outputs() == numpy_outputs
-    assert _ckernel.substeps() is None
+    assert not kernels_loaded()
     assert capfd.readouterr() == ("", "")
 
 
@@ -106,12 +115,28 @@ def test_nowhere_to_build_falls_back(first_use, numpy_outputs, monkeypatch, capf
 def test_truncated_library_in_the_cache_is_rebuilt(first_use, numpy_outputs, capfd):
     cache = first_use / "cache" / "cramsim"
     cache.mkdir(parents=True, mode=0o700)
-    stale = cache / f"substep-{_ckernel._build_key()}.so"
+    stale = cache / f"kernel-{_ckernel._build_key()}.so"
     stale.write_bytes(b"\x7fELF\x02\x01\x01")
     assert outputs() == numpy_outputs
-    assert _ckernel.substeps() is not None
+    assert kernels_loaded()
     assert stale.stat().st_size > 1000
     assert cached_libraries(first_use) == [stale]
+    assert capfd.readouterr() == ("", "")
+
+
+@needs_cc
+def test_library_without_the_search_falls_back_for_both_kernels(first_use, numpy_outputs,
+                                                                 capfd):
+    """One decision for the library: a cached build that lacks one kernel runs neither."""
+    cache = first_use / "cache" / "cramsim"
+    cache.mkdir(parents=True, mode=0o700)
+    partial = first_use / "substeps_only.c"
+    source = _ckernel._SOURCE.read_text()
+    partial.write_text(source[:source.index("/* The set pixels still inside")])
+    subprocess.run([_ckernel._CC, *_ckernel._FLAGS, "-o",
+                    str(cache / f"kernel-{_ckernel._build_key()}.so"), str(partial)], check=True)
+    assert outputs() == numpy_outputs
+    assert not kernels_loaded()
     assert capfd.readouterr() == ("", "")
 
 
@@ -141,8 +166,26 @@ def test_first_use_builds_once_into_the_cache_only(first_use, numpy_outputs, mon
         assert not t.is_alive()
     assert results == [numpy_outputs, numpy_outputs]
     assert len(loads) == 1
-    assert _ckernel.substeps() is not None
-    assert [p.suffix for p in cached_libraries(first_use)] == [".so"]
+    assert kernels_loaded()
+    library = first_use / "cache" / "cramsim" / f"kernel-{_ckernel._build_key()}.so"
+    assert cached_libraries(first_use) == [library]  # one library holds both kernels
     assert os.stat(first_use / "cache" / "cramsim").st_mode & 0o777 == 0o700
     assert list(Path.cwd().iterdir()) == []
     assert sorted(PACKAGE.rglob("*")) == package_files
+
+
+@needs_cc
+def test_search_declines_more_set_pixels_than_it_has_room_for():
+    """The kernel never writes past its work rows: it returns -1 instead."""
+    pixels = np.ones((3, 5), dtype=np.uint8)
+    trips = np.ones(6, dtype=np.uint8)
+    trips[0] = 0
+    work = np.zeros((16, 4), np.int32)  # one row beyond the room the kernel is told of
+    info = np.zeros(18, np.int64)
+    search = _ckernel.search()
+    assert search(pixels.ctypes.data, 3, 5, trips.ctypes.data, 16, 14, work.ctypes.data,
+                  info.ctypes.data) == -1
+    assert not work[14:].any()
+    assert search(pixels.ctypes.data, 3, 5, trips.ctypes.data, 16, 15, work.ctypes.data,
+                  info.ctypes.data) == 1
+    assert work[0].tolist() == [0, 2, 0, 4] and info[:2].tolist() == [2, 1]

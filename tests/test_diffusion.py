@@ -1,8 +1,6 @@
 """Charge-sharing dynamics: one independent reference model plus frozen cases."""
 
-import shutil
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffusion_reference as reference
-from conftest import frame_of
+from conftest import KERNELS, frame_of, kernel_in_use, needs_cc
 from cramsim import _ckernel
 from cramsim.config import RunConfig
 from cramsim.diffusion import (
@@ -48,28 +46,10 @@ def reference_substep(volts: np.ndarray, coupling: float) -> np.ndarray:
     return out
 
 
-HAVE_CC = shutil.which(_ckernel._CC) is not None
-# The package kernels. Each bit-exact test runs on every one this host can
-# build, in a loop, so a test keeps one name whatever the host has.
-KERNELS = ("compiled", "numpy") if HAVE_CC else ("numpy",)
-
-
-@contextmanager
-def kernel_in_use(kernel: str):
-    """Diffuse on one package kernel in the body; a failed assertion names it."""
-    saved = _ckernel._kernel
-    _ckernel._kernel = _ckernel.substeps() if kernel == "compiled" else None
-    try:
-        yield
-    except AssertionError as exc:
-        raise AssertionError(f"{kernel} kernel: {exc}") from exc
-    finally:
-        _ckernel._kernel = saved
-
-
-@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH to build the kernel")
+@needs_cc
 def test_compiled_kernel_loads_where_a_compiler_exists():
     assert _ckernel.substeps() is not None
+    assert _ckernel.search() is not None
 
 
 volt_grids = st.integers(2, 9).flatmap(

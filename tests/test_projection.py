@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import box_array, frame_of
+from conftest import KERNELS, box_array, frame_of, kernel_in_use
 from iss_reference import reference_iss, refine, runs_from_bits
 from rp_reference import reference_rp_update
 from cramsim.config import RunConfig
@@ -275,11 +275,13 @@ def test_count_stop_is_a_fixpoint_except_at_two_pixel_codes():
     for _ in range(100):
         density = rng.uniform(0.05, 0.5)
         frames.append(BinaryFrame((rng.random((24, 24)) < density).astype(np.uint8)))
-    got = {code: _short_count_stops(frames, RpConfig(projection=ProjectionConfig(dac_code=code)))
-           for code in range(DAC_MAX + 1)}
     want = {code: (100, 0) for code in range(12)}
     want.update({12: (83, 8), 13: (83, 8), 14: (83, 8), 15: (0, 0)})
-    assert got == want
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            assert {code: _short_count_stops(
+                        frames, RpConfig(projection=ProjectionConfig(dac_code=code)))
+                    for code in range(DAC_MAX + 1)} == want
 
 
 @settings(max_examples=25, deadline=None)
@@ -302,7 +304,14 @@ def test_iss_boxes_cover_all_ones(data):
 
 
 def assert_same_search(frame: BinaryFrame, cfg: RpConfig) -> None:
-    got, want = iss(frame, cfg), reference_iss(frame, cfg)
+    """Every package kernel's search equals the per-candidate reference."""
+    want = reference_iss(frame, cfg)
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            assert_same_result(iss(frame, cfg), want)
+
+
+def assert_same_result(got, want) -> None:
     assert got.candidates.dtype == want.candidates.dtype
     assert got.candidates.shape == want.candidates.shape
     assert (got.candidates == want.candidates).all()
@@ -364,6 +373,55 @@ def test_batched_search_matches_reference_on_noisy_corpus():
     scenes = generate_corpus(RunConfig(noise_density=0.01, fragment_gap=2, seed=7).synth_config(), 8)
     for scene in scenes:
         assert_same_search(scene.frame, RpConfig())
+
+
+def _dots(h: int, w: int) -> np.ndarray:
+    """A set pixel on every second row and column: one candidate per set pixel."""
+    pixels = np.zeros((h, w), dtype=np.uint8)
+    pixels[::2, ::2] = 1
+    return pixels
+
+
+@pytest.mark.parametrize("pixels, found", [
+    (np.zeros((240, 320), dtype=np.uint8), 0),
+    (np.ones((240, 320), dtype=np.uint8), 1),
+    (_dots(240, 320), 19_200),
+    (_dots(1, 320), 160),
+    (_dots(240, 1), 120),
+    (np.ones((1, 320), dtype=np.uint8), 1),
+    (np.ones((240, 1), dtype=np.uint8), 1),
+], ids=["empty", "full", "dots", "dots_1x320", "dots_240x1", "full_1x320", "full_240x1"])
+def test_search_at_its_buffer_bounds(pixels, found):
+    """No set pixel, every pixel set, and as many candidates as set pixels
+    (19,200 dots at 240x320), at the default and a two-pixel DAC code."""
+    assert len(reference_iss(BinaryFrame(pixels), RpConfig()).candidates) == found
+    for code in (7, 12):
+        cfg = RpConfig(projection=ProjectionConfig(dac_code=code))
+        assert_same_search(BinaryFrame(pixels), cfg)
+
+
+def test_search_reads_pixels_in_any_memory_layout():
+    """A frame whose pixels were replaced by a Fortran-order or strided array
+    searches like its C-contiguous copy: a kernel must not read the raw buffer."""
+    rng = np.random.default_rng(5)
+    pixels = (rng.random((37, 53)) < 0.15).astype(np.uint8)
+    padded = np.ones((74, 106), dtype=np.uint8)  # every cell the view skips is set
+    padded[::2, ::2] = pixels
+    layouts = {"fortran": np.asfortranarray(pixels), "strided": padded[::2, ::2],
+               "reversed": pixels[::-1].copy()[::-1]}
+    for name, layout in layouts.items():
+        assert np.array_equal(layout, pixels) and not layout.flags.c_contiguous, name
+    cfg = RpConfig()
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            want = iss(BinaryFrame(pixels), cfg)
+            for name, layout in layouts.items():
+                frame = BinaryFrame(pixels)
+                frame.pixels = layout
+                try:
+                    assert_same_result(iss(frame, cfg), want)
+                except AssertionError as exc:
+                    raise AssertionError(f"{name} pixels: {exc}") from exc
 
 
 # --- consolidation
