@@ -1,8 +1,9 @@
 /* The package's compiled kernels, built into one shared library by _ckernel.py.
  *
- * cramsim_substeps runs explicit diffusion substeps; cramsim_search runs the
- * alternating-projection region search. Each gives exactly the results of
- * its numpy kernel, which stays as the fallback for hosts without a compiler.
+ * cramsim_substeps runs explicit diffusion substeps, and cramsim_restore a whole
+ * restoration around them; cramsim_search runs the alternating-projection
+ * region search. Each gives exactly the results of its numpy kernel, which
+ * stays as the fallback for hosts without a compiler.
  */
 
 #include <stdint.h>
@@ -19,9 +20,14 @@
  * -ffp-contract=off (no fused multiply-add) and no -ffast-math. The border
  * is never written, so it stays 0 and the outer edge reflects. The buffers
  * swap roles after each substep: after an odd count the result is in nxt.
+ *
+ * Each variant at the end of this part inlines this one body; only the
+ * vector width the compiler may use differs, never the arithmetic.
  */
-void cramsim_substeps(double *restrict cur, double *restrict nxt, long rows, long cols,
-                      double c, long substeps)
+#define BODY static inline __attribute__((always_inline))
+
+BODY void substeps_body(double *restrict cur, double *restrict nxt, long rows, long cols,
+                        double c, long substeps)
 {
     const long wp = cols + 2;
     for (long s = 0; s < substeps; s++) {
@@ -41,6 +47,163 @@ void cramsim_substeps(double *restrict cur, double *restrict nxt, long rows, lon
         cur = nxt;
         nxt = t;
     }
+}
+
+/* Set every grid cell of a stencil buffer: 0 on the ring, and the frame's h x w
+ * cells from pixels, or, with pixels NULL, from the buffer's own cells
+ * thresholded at vth. Each grid row is written once; the border stays 0. */
+BODY void fill(double *buf, const unsigned char *pixels, long h, long w, long ring, double vth)
+{
+    const long cols = w + 2 * ring, wp = cols + 2;
+    for (long r = 0; r < h + 2 * ring; r++) {
+        double *g = buf + (r + 1) * wp + 1;
+        const long i = r - ring;
+        if (i < 0 || i >= h) {
+            memset(g, 0, (size_t)cols * sizeof *g);
+            continue;
+        }
+        memset(g, 0, (size_t)ring * sizeof *g);
+        double *cell = g + ring;
+        if (pixels != NULL) {
+            const unsigned char *px = pixels + i * w;
+            for (long j = 0; j < w; j++)
+                cell[j] = px[j];
+        } else {
+            for (long j = 0; j < w; j++)
+                cell[j] = cell[j] > vth;
+        }
+        memset(cell + w, 0, (size_t)ring * sizeof *g);
+    }
+}
+
+/* out[j] = cell[j] > vth for n cells; out is bytes, so restrict lets it vectorize. */
+BODY void threshold(const double *restrict cell, unsigned char *restrict out, long n, double vth)
+{
+    for (long j = 0; j < n; j++)
+        out[j] = cell[j] > vth;
+}
+
+typedef void Substeps(double *cur, double *nxt, long rows, long cols, double c, long substeps);
+
+/* The whole restoration of diffusion.restore_image, with run as its substeps;
+ * see cramsim_restore. */
+BODY long restore_body(const unsigned char *pixels, long h, long w, long ring, double *cur,
+                       double *nxt, double c, long substeps, long pulses, double vth,
+                       unsigned char *bits, Substeps *run)
+{
+    const long rows = h + 2 * ring, cols = w + 2 * ring, wp = cols + 2;
+    double *const first = cur;
+    fill(cur, pixels, h, w, ring, vth);
+    for (long p = 0; p < pulses; p++) {
+        if (c > 0.0) {
+            run(cur, nxt, rows, cols, c, substeps);
+            if (substeps % 2) {
+                double *t = cur;
+                cur = nxt;
+                nxt = t;
+            }
+        }
+        if (p < pulses - 1)
+            fill(cur, NULL, h, w, ring, vth);
+    }
+    for (long i = 0; i < h; i++)
+        threshold(cur + (ring + 1 + i) * wp + ring + 1, bits + i * w, w, vth);
+    return cur != first;
+}
+
+/* One build of both bodies, compiled with the given function attributes. The
+ * restore calls the build's substeps rather than inlining a second copy of
+ * them, which keeps the library's first build short. */
+#define VARIANT(name, attributes)                                                             \
+    attributes static void substeps_##name(double *cur, double *nxt, long rows, long cols,   \
+                                           double c, long substeps)                         \
+    {                                                                                         \
+        substeps_body(cur, nxt, rows, cols, c, substeps);                                     \
+    }                                                                                         \
+    attributes static long restore_##name(const unsigned char *pixels, long h, long w,       \
+                                          long ring, double *cur, double *nxt, double c,     \
+                                          long substeps, long pulses, double vth,            \
+                                          unsigned char *bits)                               \
+    {                                                                                         \
+        return restore_body(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits,     \
+                            substeps_##name);                                                 \
+    }
+
+typedef struct {
+    Substeps *substeps;
+    long (*restore)(const unsigned char *, long, long, long, double *, double *, double, long,
+                    long, double, unsigned char *);
+} Variant;
+
+VARIANT(baseline, )
+
+/* The x86-64 variants, compiled for wider vectors whatever the build flags
+ * say; cramsim_variants reports which of them this CPU runs. Elsewhere, or
+ * with a compiler that cannot target one function at a time, the library
+ * holds the baseline alone. */
+#if defined(__x86_64__) && defined(__has_attribute)
+#if __has_attribute(target)
+#define ISA_VARIANTS
+#endif
+#endif
+
+#ifdef ISA_VARIANTS
+VARIANT(avx2, __attribute__((target("avx2"))))
+VARIANT(avx512f, __attribute__((target("avx512f"))))
+#endif
+
+static const Variant variants[] = {
+    {substeps_baseline, restore_baseline},
+#ifdef ISA_VARIANTS
+    {substeps_avx2, restore_avx2},
+    {substeps_avx512f, restore_avx512f},
+#endif
+};
+
+/* How many of the variants, in the order baseline, avx2, avx512f, this
+ * library holds and this CPU runs: at least 1. */
+long cramsim_variants(void)
+{
+#ifdef ISA_VARIANTS
+    if (__builtin_cpu_supports("avx512f"))
+        return 3;
+    if (__builtin_cpu_supports("avx2"))
+        return 2;
+#endif
+    return 1;
+}
+
+/* Variant number variant, or the baseline if this CPU cannot run it. */
+static const Variant *variant_numbered(long variant)
+{
+    return variants + (variant > 0 && variant < cramsim_variants() ? variant : 0);
+}
+
+/* The substeps above in variant number variant (see cramsim_variants). */
+void cramsim_substeps(long variant, double *cur, double *nxt, long rows, long cols, double c,
+                      long substeps)
+{
+    variant_numbered(variant)->substeps(cur, nxt, rows, cols, c, substeps);
+}
+
+/* The whole restoration of diffusion.restore_image in one call, in variant
+ * number variant.
+ *
+ * cur and nxt are the buffers of a _Stencil of (h + 2 ring) x (w + 2 ring)
+ * cells, both with an all-zero border. The h x w frame pixels (one byte
+ * per pixel, each 0 or 1) go into cur inside a ring of zeros. Then come
+ * pulses pulses of substeps substeps at coupling c (none if c is 0); between
+ * pulses the frame's cells are thresholded at vth back to bits and the ring
+ * zeroed. Last, bits receives the frame's cells thresholded at vth, one byte
+ * each. nxt is only ever written by a substep, which sets every grid cell of
+ * it. Returns 1 if the final analog grid is in nxt, else 0 (it is in cur).
+ */
+long cramsim_restore(long variant, const unsigned char *pixels, long h, long w, long ring,
+                     double *cur, double *nxt, double c, long substeps, long pulses, double vth,
+                     unsigned char *bits)
+{
+    return variant_numbered(variant)->restore(pixels, h, w, ring, cur, nxt, c, substeps, pulses,
+                                              vth, bits);
 }
 
 /* The set pixels still inside a candidate: row, column and owning candidate. */

@@ -6,6 +6,16 @@ substeps per pulse, pulse amplitude scales the per-substep coupling, and
 re-digitization between pulses models sensing the analog node back into a
 stored bit. The outermost edge of the dummy ring reflects: no charge leaves
 the simulated array, so total charge is conserved.
+
+A frame is restored on its thread's `_Stencil`. Where the compiled kernels
+load (`_ckernel`), one call per frame writes the pixels into it, runs every
+pulse with the re-digitization between them, and thresholds the result.
+That call and the substep loop run in the widest instruction-set variant
+this CPU has (AVX-512F, AVX2 or the baseline build), chosen once per
+process from what the library reports. The library is still built without
+-march=native, so one cached build loads on older CPUs too; compiling the
+three variants makes that first build take about half a second. The numpy
+steps of `_Stencil` are the fallback and give the same bits.
 """
 
 from __future__ import annotations
@@ -85,7 +95,9 @@ class _Stencil:
     1-D slice op over rows 1..rows. Those ops also write the two border
     columns, which are zeroed again after each substep; the border rows are
     never written. A zero border cell adds nothing to a neighbor sum and has
-    no in-grid neighbor count, so the outer edge reflects.
+    no in-grid neighbor count, so the outer edge reflects. Both buffers'
+    borders are zero whenever no method is running, which lets the compiled
+    restore write only the grid cells.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -147,6 +159,34 @@ class _Stencil:
         """A copy of the voltages that later use of the stencil leaves alone."""
         return AnalogState(self.grid.copy(), ring)
 
+    def pulse_train(self, frame: BinaryFrame, cfg: DiffusionConfig) -> np.ndarray:
+        """Run cfg's pulse train on the frame; returns its cells thresholded at cfg.vth.
+
+        The frame goes into the grid inside a ring of zeros. Between pulses
+        the interior is thresholded back to bits and the ring zeroed, exactly
+        as a store-and-restart would. amplitude == 0 means no conduction: the
+        embedded state passes through. The final pulse's analog grid stays
+        in the stencil. The compiled kernel (`_ckernel.restore`) does all of
+        it in one call; the numpy steps below are the fallback.
+        """
+        ring, vth, c = cfg.ring, cfg.vth, cfg.coupling
+        compiled = _ckernel.restore()
+        if compiled is not None:
+            pixels = frame.pixels  # C-contiguous uint8, as BinaryFrame holds it
+            bits = np.empty_like(pixels)
+            if compiled(pixels.ctypes.data, *pixels.shape, ring, self._cur.ctypes.data,
+                        self._nxt.ctypes.data, c, cfg.substeps_per_pulse, cfg.pulses, vth,
+                        bits.ctypes.data):
+                self._cur, self._nxt = self._nxt, self._cur
+            return bits
+        self.load(frame.pixels, ring)
+        for pulse in range(cfg.pulses):
+            if c > 0.0:
+                self.run(c, cfg.substeps_per_pulse)
+            if pulse < cfg.pulses - 1:
+                self.redigitize(ring, vth)
+        return (_interior(self.grid, ring) > vth).astype(np.uint8)
+
     def load(self, pixels: np.ndarray, ring: int) -> None:
         """Write the pixels inside a ring of zeros, replacing every voltage."""
         self._cur.fill(0.0)
@@ -164,14 +204,20 @@ def _interior(grid: np.ndarray, ring: int) -> np.ndarray:
     return grid[ring:grid.shape[0] - ring, ring:grid.shape[1] - ring]
 
 
-def _embed(pixels: np.ndarray, ring: int) -> _Stencil:
-    """This thread's stencil, kept while the grid shape holds, with the pixels in a zero ring."""
-    h, w = pixels.shape
+def _stencil(frame_shape: tuple[int, int], ring: int) -> _Stencil:
+    """This thread's stencil for a frame inside a ring, kept while the grid shape holds."""
+    h, w = frame_shape
     shape = (h + 2 * ring, w + 2 * ring)
     stencil = getattr(_workspace, "stencil", None)
     if stencil is None or stencil.shape != shape:
         _workspace.stencil = None  # free the old buffers before allocating
         stencil = _workspace.stencil = _Stencil(*shape)
+    return stencil
+
+
+def _embed(pixels: np.ndarray, ring: int) -> _Stencil:
+    """This thread's stencil with the pixels in a zero ring."""
+    stencil = _stencil(pixels.shape, ring)
     stencil.load(pixels, ring)
     return stencil
 
@@ -193,35 +239,16 @@ def diffuse_substep(state: AnalogState, coupling: float) -> AnalogState:
     return stencil.state(state.ring)
 
 
-def _threshold(volts: np.ndarray, vth: float) -> BinaryFrame:
-    return BinaryFrame((volts > vth).astype(np.uint8))
-
-
 def threshold_restore(state: AnalogState, cfg: DiffusionConfig) -> BinaryFrame:
     """Re-digitize the interior: pixel = 1 iff voltage strictly exceeds cfg.vth."""
-    return _threshold(state.interior(), cfg.vth)
-
-
-def _pulse_train(frame: BinaryFrame, cfg: DiffusionConfig) -> _Stencil:
-    """This thread's stencil after the configured pulse train on a frame.
-
-    Between pulses the interior is thresholded back to bits and the ring
-    zeroed, exactly as a store-and-restart would.
-    amplitude == 0 means no conduction: the embedded state passes through.
-    """
-    stencil = _embed(frame.pixels, cfg.ring)
-    c = cfg.coupling
-    for pulse in range(cfg.pulses):
-        if c > 0.0:
-            stencil.run(c, cfg.substeps_per_pulse)
-        if pulse < cfg.pulses - 1:
-            stencil.redigitize(cfg.ring, cfg.vth)
-    return stencil
+    return BinaryFrame((state.interior() > cfg.vth).astype(np.uint8))
 
 
 def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig) -> AnalogState:
     """Run the configured pulse train on a frame; the final pulse stays analog."""
-    return _pulse_train(frame, cfg).state(cfg.ring)
+    stencil = _stencil(frame.pixels.shape, cfg.ring)
+    stencil.pulse_train(frame, cfg)
+    return stencil.state(cfg.ring)
 
 
 def restore_image(frame: BinaryFrame, cfg: DiffusionConfig) -> BinaryFrame:
@@ -230,7 +257,7 @@ def restore_image(frame: BinaryFrame, cfg: DiffusionConfig) -> BinaryFrame:
     At the default config this removes every 4-isolated 1-pixel and fills any
     fully enclosed single-pixel hole in a solid block of 5x5 or larger.
     """
-    return _threshold(_interior(_pulse_train(frame, cfg).grid, cfg.ring), cfg.vth)
+    return BinaryFrame(_stencil(frame.pixels.shape, cfg.ring).pulse_train(frame, cfg))
 
 
 def _check_max_ones(max_ones: int) -> None:

@@ -302,7 +302,9 @@ def _numpy_search(pixels: np.ndarray, trips: np.ndarray, max_iters: int):
         prev_count = len(candidates)
 
     cells = [int((p[:, 1] - p[:, 0] + 1) @ (p[:, 3] - p[:, 2] + 1)) for p in passes]
-    order = np.lexsort(candidates.T[[3, 1, 2, 0]])  # by r0, then c0, r1, c1
+    # disjoint candidates never share a top-left corner, so sorting by
+    # (r0, c0) alone sorts them by (r0, c0, r1, c1)
+    order = np.argsort(candidates[:, 0] * width + candidates[:, 2])
     # passes[0] is the full-axis projection; a later pass makes one region
     # projection per candidate
     return candidates[order], iterations, sum(map(len, passes)) - 1, cells

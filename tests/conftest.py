@@ -10,9 +10,17 @@ from cramsim.projection import Box
 
 needs_cc = pytest.mark.skipif(shutil.which(_ckernel._CC) is None,
                               reason="no C compiler on PATH to build the kernels")
+
+
+def _compiled_kernels() -> tuple[str, ...]:
+    """One entry per substep build that the compiled library holds and this CPU runs."""
+    loaded = _ckernel._loaded()
+    return () if loaded is None else tuple(f"compiled-{v}" for v in loaded.runnable)
+
+
 # The package kernels. Each bit-exact test runs on every one this host can
-# build, in a loop, so a test keeps one name whatever the host has.
-KERNELS = ("compiled", "numpy") if shutil.which(_ckernel._CC) else ("numpy",)
+# build and run, in a loop, so a test keeps one name whatever the host has.
+KERNELS = (*_compiled_kernels(), "numpy")
 
 
 @contextmanager
@@ -20,7 +28,12 @@ def kernel_in_use(kernel: str):
     """Diffuse and search on one set of package kernels in the body; a failed
     assertion names it."""
     saved = _ckernel._kernels
-    _ckernel._kernels = _ckernel._loaded() if kernel == "compiled" else None
+    if kernel == "numpy":
+        _ckernel._kernels = None
+    else:
+        loaded = _ckernel._loaded()
+        _ckernel._kernels = _ckernel._bind(loaded.lib, loaded.runnable,
+                                           kernel.removeprefix("compiled-"))
     try:
         yield
     except AssertionError as exc:

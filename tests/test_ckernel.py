@@ -30,8 +30,9 @@ def outputs() -> tuple:
 
 
 def kernels_loaded() -> bool:
-    """Both kernels come from the compiled library, or neither does."""
+    """Every kernel comes from the compiled library, or none does."""
     compiled = _ckernel.substeps() is not None
+    assert (_ckernel.restore() is not None) == compiled
     assert (_ckernel.search() is not None) == compiled
     return compiled
 
@@ -124,20 +125,74 @@ def test_truncated_library_in_the_cache_is_rebuilt(first_use, numpy_outputs, cap
     assert capfd.readouterr() == ("", "")
 
 
+def cache_library_built_from(first_use: Path, source: str) -> None:
+    """Build the source into the cache, under the name the package's own build would get."""
+    cache = first_use / "cache" / "cramsim"
+    cache.mkdir(parents=True, mode=0o700)
+    edited = first_use / "edited.c"
+    edited.write_text(source)
+    subprocess.run([_ckernel._CC, *_ckernel._FLAGS, "-o",
+                    str(cache / f"kernel-{_ckernel._build_key()}.so"), str(edited)], check=True)
+
+
 @needs_cc
 def test_library_without_the_search_falls_back_for_both_kernels(first_use, numpy_outputs,
                                                                  capfd):
     """One decision for the library: a cached build that lacks one kernel runs neither."""
-    cache = first_use / "cache" / "cramsim"
-    cache.mkdir(parents=True, mode=0o700)
-    partial = first_use / "substeps_only.c"
     source = _ckernel._SOURCE.read_text()
-    partial.write_text(source[:source.index("/* The set pixels still inside")])
-    subprocess.run([_ckernel._CC, *_ckernel._FLAGS, "-o",
-                    str(cache / f"kernel-{_ckernel._build_key()}.so"), str(partial)], check=True)
+    cache_library_built_from(first_use, source[:source.index("/* The set pixels still inside")])
     assert outputs() == numpy_outputs
     assert not kernels_loaded()
     assert capfd.readouterr() == ("", "")
+
+
+@needs_cc
+def test_library_without_the_restore_falls_back_for_every_kernel(first_use, numpy_outputs,
+                                                                  capfd):
+    source = _ckernel._SOURCE.read_text()
+    start = source.index("/* The whole restoration of diffusion.restore_image in one call")
+    end = source.index("/* The set pixels still inside")
+    cache_library_built_from(first_use, source[:start] + source[end:])
+    assert outputs() == numpy_outputs
+    assert not kernels_loaded()
+    assert capfd.readouterr() == ("", "")
+
+
+@needs_cc
+def test_library_without_isa_variants_runs_the_compiled_baseline(first_use, numpy_outputs,
+                                                                  capfd):
+    """A build for another architecture holds the baseline substep body alone, and runs it."""
+    source = _ckernel._SOURCE.read_text()
+    assert source.count("defined(__x86_64__)") == 1
+    cache_library_built_from(first_use, source.replace("defined(__x86_64__)", "0"))
+    assert outputs() == numpy_outputs
+    assert kernels_loaded()
+    assert _ckernel._kernels.runnable == ("baseline",)
+    assert _ckernel._kernels.variant == "baseline"
+    assert capfd.readouterr() == ("", "")
+
+
+@needs_cc
+def test_widest_variant_runs_and_unrunnable_numbers_run_the_baseline():
+    """The loader picks the widest build this CPU runs; the library runs the baseline for
+    a variant number that it lacks or that this CPU cannot run."""
+    loaded = _ckernel._loaded()
+    assert loaded.variant == loaded.runnable[-1]
+    frame = BinaryFrame((np.random.default_rng(4).random((9, 13)) < 0.4).astype(np.uint8))
+    cfg = DiffusionConfig(pulses=2)
+
+    def restore(number):
+        cur, nxt = np.zeros(13 * 17), np.zeros(13 * 17)
+        bits = np.empty((9, 13), np.uint8)
+        swapped = loaded.lib.cramsim_restore(number, frame.pixels.ctypes.data, 9, 13, 1,
+                                             cur.ctypes.data, nxt.ctypes.data, cfg.coupling,
+                                             cfg.substeps_per_pulse, cfg.pulses, cfg.vth,
+                                             bits.ctypes.data)
+        return swapped, (nxt if swapped else cur).tobytes(), bits.tobytes()
+
+    baseline = restore(0)
+    for number in (len(loaded.runnable), len(_ckernel.VARIANTS), -1, 99):
+        assert restore(number) == baseline
 
 
 @needs_cc

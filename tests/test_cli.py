@@ -184,14 +184,14 @@ def test_restore_emit_analog_runs_pulse_train_once(tmp_path, corpus, monkeypatch
 
     runs = []
     lock = threading.Lock()
-    kernel = diffusion._Stencil.run
+    kernel = diffusion._Stencil.pulse_train
 
-    def counted(self, coupling, substeps):
+    def counted(self, frame, cfg):
         with lock:
-            runs.append(substeps)
-        kernel(self, coupling, substeps)
+            runs.append(cfg.pulses * cfg.substeps_per_pulse)
+        return kernel(self, frame, cfg)
 
-    monkeypatch.setattr(diffusion._Stencil, "run", counted)
+    monkeypatch.setattr(diffusion._Stencil, "pulse_train", counted)
     plain, analog = tmp_path / "plain", tmp_path / "analog"
     assert run_cli("restore", str(corpus), "--out", str(plain)) == 0
     assert runs == [8] * 4

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import diffusion_reference as reference
 from conftest import KERNELS, frame_of, kernel_in_use, needs_cc
-from cramsim import _ckernel
+from cramsim import _ckernel, diffusion
 from cramsim.config import RunConfig
 from cramsim.diffusion import (
     DiffusionConfig,
@@ -76,6 +76,13 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert got.shape == want.shape
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def assert_zero_borders(stencil) -> None:
+    for buffer in (stencil._cur, stencil._nxt):
+        grid = buffer.reshape(-1, stencil.shape[1] + 2)
+        for border in (grid[0], grid[-1], grid[:, 0], grid[:, -1]):
+            assert not border.any()
 
 
 def assert_matches_reference(frame: BinaryFrame, cfg: DiffusionConfig, ring: int) -> None:
@@ -168,13 +175,36 @@ def test_thin_grids_and_buffer_swap_parity(shape, substeps, coupling, seed):
             assert_same_bits(cur[1:-1, 1:-1], states[-1].volts)
             if substeps > 1:
                 assert_same_bits(nxt[1:-1, 1:-1], states[-2].volts)
-            for buffer in (cur, nxt):
-                for border in (buffer[0], buffer[-1], buffer[:, 0], buffer[:, -1]):
-                    assert not border.any()
+            assert_zero_borders(stencil)
 
 
 def random_frame(rng: np.random.Generator, shape: tuple[int, int]) -> BinaryFrame:
     return BinaryFrame((rng.random(shape) < 0.4).astype(np.uint8))
+
+
+def test_one_call_restore_matches_numpy_and_reference():
+    """Each compiled variant's one-call restore equals the numpy steps and the reference.
+
+    Thin and full-size frames, ring widths 0, 1 and 3, one to three pulses,
+    odd and even substep counts (so the result ends in either buffer) and
+    amplitude 0; both buffers keep an all-zero border throughout.
+    """
+    rng = np.random.default_rng(17)
+    for shape in ((1, 1), (1, 23), (23, 1), (240, 320)):
+        for ring in (0, 1, 3):
+            for pulses in (1, 2, 3):
+                for substeps, amplitude in ((7, 1.0), (8, 0.5), (5, 0.0)):
+                    frame = random_frame(rng, shape)
+                    cfg = DiffusionConfig(substeps_per_pulse=substeps, amplitude=amplitude,
+                                          pulses=pulses, ring=ring)
+                    want_volts = reference.apply_pulses(frame, cfg, ring).volts
+                    want_bits = reference.restore_image(frame, cfg, ring).pixels
+                    for kernel in KERNELS:
+                        with kernel_in_use(kernel):
+                            assert_same_bits(restore_image(frame, cfg).pixels, want_bits)
+                            assert_zero_borders(diffusion._workspace.stencil)
+                            assert_same_bits(apply_pulses(frame, cfg).volts, want_volts)
+                            assert_zero_borders(diffusion._workspace.stencil)
 
 
 def test_reused_workspace_never_leaks_state():
@@ -212,6 +242,17 @@ def test_reused_workspace_never_leaks_state():
                     analog = AnalogState(rng.random((shape[0] + 2 * ring, shape[1] + 2 * ring)), ring)
                     assert_same_bits(diffuse_substep(analog, 0.2).volts,
                                      reference.substep(analog, 0.2).volts)
+            # restore_image and apply_pulses in turn, each on two frame sizes in turn
+            cfg = DiffusionConfig(substeps_per_pulse=3, pulses=2)
+            for step in range(8):
+                frame = random_frame(rng, ((6, 11), (9, 4))[step % 2])
+                if step % 4 < 2:
+                    assert_same_bits(restore_image(frame, cfg).pixels,
+                                     reference.restore_image(frame, cfg).pixels)
+                else:
+                    state, want = apply_pulses(frame, cfg), reference.apply_pulses(frame, cfg)
+                    assert_same_bits(state.volts, want.volts)
+                    kept.append((state, want))
             for state, want in kept:
                 assert_same_bits(state.volts, want.volts)
 
@@ -370,7 +411,9 @@ def test_two_pulses_with_redigitize_compose():
     f = BinaryFrame((rng.random((20, 20)) < 0.25).astype(np.uint8))
     once = DiffusionConfig(pulses=1)
     twice = DiffusionConfig(pulses=2)
-    assert restore_image(f, twice) == restore_image(restore_image(f, once), once)
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            assert restore_image(f, twice) == restore_image(restore_image(f, once), once)
 
 
 # --- restoration behavior at the default operating point
