@@ -45,7 +45,6 @@ class _Kernels(NamedTuple):
     substeps: object
     restore: object
     search: object
-    variant: str  # the substep build both diffusion kernels run
     runnable: tuple[str, ...]  # the builds this library holds and this CPU runs
     lib: object
 
@@ -144,7 +143,7 @@ def _bind(lib, runnable: tuple[str, ...], variant: str) -> _Kernels:
     number = VARIANTS.index(variant)
     return _Kernels(functools.partial(lib.cramsim_substeps, number),
                     functools.partial(lib.cramsim_restore, number),
-                    lib.cramsim_search, variant, runnable, lib)
+                    lib.cramsim_search, runnable, lib)
 
 
 def _build_key() -> str:

@@ -172,8 +172,9 @@ class _Stencil:
         ring, vth, c = cfg.ring, cfg.vth, cfg.coupling
         compiled = _ckernel.restore()
         if compiled is not None:
-            pixels = frame.pixels  # C-contiguous uint8, as BinaryFrame holds it
-            bits = np.empty_like(pixels)
+            # pixels may have been replaced by any layout; no copy when C-contiguous uint8
+            pixels = np.ascontiguousarray(frame.pixels, dtype=np.uint8)
+            bits = np.empty(pixels.shape, np.uint8)
             if compiled(pixels.ctypes.data, *pixels.shape, ring, self._cur.ctypes.data,
                         self._nxt.ctypes.data, c, cfg.substeps_per_pulse, cfg.pulses, vth,
                         bits.ctypes.data):

@@ -168,7 +168,7 @@ def test_library_without_isa_variants_runs_the_compiled_baseline(first_use, nump
     assert outputs() == numpy_outputs
     assert kernels_loaded()
     assert _ckernel._kernels.runnable == ("baseline",)
-    assert _ckernel._kernels.variant == "baseline"
+    assert _ckernel._kernels.substeps.args == (0,)
     assert capfd.readouterr() == ("", "")
 
 
@@ -177,7 +177,8 @@ def test_widest_variant_runs_and_unrunnable_numbers_run_the_baseline():
     """The loader picks the widest build this CPU runs; the library runs the baseline for
     a variant number that it lacks or that this CPU cannot run."""
     loaded = _ckernel._loaded()
-    assert loaded.variant == loaded.runnable[-1]
+    widest = _ckernel.VARIANTS.index(loaded.runnable[-1])
+    assert loaded.substeps.args == loaded.restore.args == (widest,)
     frame = BinaryFrame((np.random.default_rng(4).random((9, 13)) < 0.4).astype(np.uint8))
     cfg = DiffusionConfig(pulses=2)
 

@@ -207,6 +207,35 @@ def test_one_call_restore_matches_numpy_and_reference():
                             assert_zero_borders(diffusion._workspace.stencil)
 
 
+def test_restore_reads_pixels_in_any_memory_layout():
+    """A frame whose pixels were replaced by a Fortran-order, strided or
+    reversed array restores like its C-contiguous copy: a kernel must not
+    read the raw buffer."""
+    rng = np.random.default_rng(5)
+    pixels = (rng.random((37, 53)) < 0.4).astype(np.uint8)
+    padded = np.ones((74, 106), dtype=np.uint8)  # every cell the view skips is set
+    padded[::2, ::2] = pixels
+    layouts = {"fortran": np.asfortranarray(pixels), "strided": padded[::2, ::2],
+               "reversed": pixels[::-1].copy()[::-1]}
+    for name, layout in layouts.items():
+        assert np.array_equal(layout, pixels) and not layout.flags.c_contiguous, name
+    cfg = DiffusionConfig(substeps_per_pulse=5, pulses=2)
+    want_bits = reference.restore_image(BinaryFrame(pixels), cfg).pixels
+    want_volts = reference.apply_pulses(BinaryFrame(pixels), cfg).volts
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            for name, layout in layouts.items():
+                frame = BinaryFrame(pixels)
+                frame.pixels = layout
+                try:
+                    restored = restore_image(frame, cfg).pixels
+                    assert restored.flags.c_contiguous
+                    assert_same_bits(restored, want_bits)
+                    assert_same_bits(apply_pulses(frame, cfg).volts, want_volts)
+                except AssertionError as exc:
+                    raise AssertionError(f"{name} pixels: {exc}") from exc
+
+
 def test_reused_workspace_never_leaks_state():
     """One thread, repeating and changing grid shapes: every result equals the reference.
 
