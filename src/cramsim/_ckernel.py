@@ -1,22 +1,25 @@
 """The compiled kernels: `_kernel.c`, built with the system C compiler on first use.
 
-The one source holds the diffusion substeps (:func:`substeps`, used by
-``diffusion._Stencil.run``), a whole restoration around them
-(:func:`restore`, used by ``diffusion.restore_image`` and ``apply_pulses``)
-and the projection search (:func:`search`, used by ``projection.iss``); all
-go into one shared library, built or loaded once per process on the first
-call to any. The library is cached per user under ``$XDG_CACHE_HOME/cramsim``
-(``~/.cache/cramsim`` by default), in a file named by a hash of the source,
-the compiler flags and the machine type, so an edited source or another
-architecture never loads a stale build. If it cannot be built or loaded, or
-lacks one of the kernels, for any reason, all three functions return None for
-the rest of the process and the callers keep their numpy kernels; nothing is
-printed. ctypes releases the GIL for the length of each call.
+The one source holds the diffusion substeps (used by
+``diffusion._Stencil.run``), a whole restoration around them (used by
+``diffusion.restore_image`` and ``apply_pulses``) and the projection search
+(used by ``projection.iss``); all go into one shared library, built or
+loaded once per process on the first call to :func:`kernels`. The library
+is cached per user under ``$XDG_CACHE_HOME/cramsim`` (``~/.cache/cramsim``
+by default), in a file named by a hash of the source, the compiler flags
+and the machine type, so an edited source or another architecture never
+loads a stale build. If it cannot be built or loaded, or lacks one of the
+kernels, for any reason, :func:`kernels` returns None for the rest of the
+process and the callers keep their numpy kernels; nothing is printed.
+ctypes releases the GIL for the length of each call.
 
-The substep body is compiled in several variants, one per instruction set
-(:data:`VARIANTS`); on first use the library reports which of them this CPU
-runs, and both diffusion kernels use the widest. A library built on another
-architecture holds the baseline alone.
+On x86-64 the substep body is compiled twice, a baseline and an AVX-512F
+build; the library reports how many of its builds this CPU runs, and both
+diffusion kernels are bound to the widest. Only `_kernel.c` knows which
+builds exist. A library built on another architecture holds the baseline
+alone. There is no AVX2 build: no benchmarked CPU would pick it, so its gain
+was never measured, and it comes back only with a measured gain on a CPU
+with AVX2 but no AVX-512F.
 """
 
 from __future__ import annotations
@@ -31,22 +34,22 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 _CC = "cc"
 # -ffp-contract=off: no fused multiply-adds, so the bits equal the numpy kernel's.
 # Never -ffast-math (reorders the arithmetic) or -march=native (a cache shared
-# between hosts must load on each of them; the source's own AVX2 and AVX-512F
-# variants, picked at run time, give the wider vectors instead).
+# between hosts must load on each of them; the source's own AVX-512F build,
+# picked at run time, gives the wider vectors instead).
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILE_TIMEOUT_S = 120
 
 
-# The builds of the substep body in `_kernel.c`, in its order: by rising ISA.
-VARIANTS = ("baseline", "avx2", "avx512f")
-
-
 class _Kernels(NamedTuple):
-    substeps: object
-    restore: object
+    # f(cur_addr, nxt_addr, rows, cols, coupling, substeps)
+    substeps: functools.partial
+    # f(pixels_addr, height, width, ring, cur_addr, nxt_addr, coupling, substeps, pulses, vth,
+    #   bits_addr); returns 1 if the final grid is in nxt
+    restore: functools.partial
+    # f(pixels_addr, rows, cols, trips_addr, max_iters, capacity, work_addr, info_addr);
+    # returns the candidate count, or -1 if it declined
     search: object
-    runnable: tuple[str, ...]  # the builds this library holds and this CPU runs
-    lib: object
+    builds: int  # the substep builds the library holds and this CPU runs; the widest is bound
 
 
 _UNTRIED = object()
@@ -54,36 +57,17 @@ _kernels = _UNTRIED  # the loaded _Kernels, or None for the numpy kernels
 _lock = threading.Lock()
 
 
-def _loaded():
-    """The library's kernels; the first call builds or loads it, and a failure is not retried."""
+def kernels() -> _Kernels | None:
+    """The library's kernels, or None without a compiler; the first call builds or loads
+    the library, and a failure is not retried."""
     global _kernels
-    kernels = _kernels
-    if kernels is _UNTRIED:
+    loaded = _kernels
+    if loaded is _UNTRIED:
         with _lock:
             if _kernels is _UNTRIED:
                 _kernels = _load()
-            kernels = _kernels
-    return kernels
-
-
-def substeps():
-    """``f(cur_addr, nxt_addr, rows, cols, coupling, substeps)``, or None without a compiler."""
-    kernels = _loaded()
-    return None if kernels is None else kernels.substeps
-
-
-def restore():
-    """``f(pixels_addr, height, width, ring, cur_addr, nxt_addr, coupling, substeps, pulses,
-    vth, bits_addr)``, or None without a compiler; it returns 1 if the final grid is in nxt."""
-    kernels = _loaded()
-    return None if kernels is None else kernels.restore
-
-
-def search():
-    """``f(pixels_addr, rows, cols, trips_addr, max_iters, capacity, work_addr, info_addr)``,
-    or None without a compiler; it returns the candidate count, or -1 if it declined."""
-    kernels = _loaded()
-    return None if kernels is None else kernels.search
+            loaded = _kernels
+    return loaded
 
 
 def _load():
@@ -134,16 +118,10 @@ def _load():
     restore.restype = long
     search.argtypes = (ptr, long, long, ptr, long, long, ptr, ptr)
     search.restype = long
-    runnable = VARIANTS[:variants()]
-    return _bind(lib, runnable, runnable[-1])
-
-
-def _bind(lib, runnable: tuple[str, ...], variant: str) -> _Kernels:
-    """The library's kernels, with both diffusion kernels running the given substep build."""
-    number = VARIANTS.index(variant)
-    return _Kernels(functools.partial(lib.cramsim_substeps, number),
-                    functools.partial(lib.cramsim_restore, number),
-                    lib.cramsim_search, runnable, lib)
+    builds = variants()
+    widest = builds - 1
+    return _Kernels(functools.partial(substeps, widest), functools.partial(restore, widest),
+                    search, builds)
 
 
 def _build_key() -> str:

@@ -137,37 +137,34 @@ typedef struct {
 
 VARIANT(baseline, )
 
-/* The x86-64 variants, compiled for wider vectors whatever the build flags
- * say; cramsim_variants reports which of them this CPU runs. Elsewhere, or
- * with a compiler that cannot target one function at a time, the library
- * holds the baseline alone. */
+/* The AVX-512F variant, compiled for 512-bit vectors whatever the build flags
+ * say; cramsim_variants reports whether this CPU runs it. Elsewhere, or with
+ * a compiler that cannot target one function at a time, the library holds
+ * the baseline alone. A narrower x86-64 variant would run only on CPUs
+ * without AVX-512F, where no gain of one has been measured. */
 #if defined(__x86_64__) && defined(__has_attribute)
 #if __has_attribute(target)
-#define ISA_VARIANTS
+#define AVX512F_VARIANT
 #endif
 #endif
 
-#ifdef ISA_VARIANTS
-VARIANT(avx2, __attribute__((target("avx2"))))
+#ifdef AVX512F_VARIANT
 VARIANT(avx512f, __attribute__((target("avx512f"))))
 #endif
 
 static const Variant variants[] = {
     {substeps_baseline, restore_baseline},
-#ifdef ISA_VARIANTS
-    {substeps_avx2, restore_avx2},
+#ifdef AVX512F_VARIANT
     {substeps_avx512f, restore_avx512f},
 #endif
 };
 
-/* How many of the variants, in the order baseline, avx2, avx512f, this
- * library holds and this CPU runs: at least 1. */
+/* How many of the variants, in the order baseline, avx512f, this library
+ * holds and this CPU runs: 1 or 2. */
 long cramsim_variants(void)
 {
-#ifdef ISA_VARIANTS
+#ifdef AVX512F_VARIANT
     if (__builtin_cpu_supports("avx512f"))
-        return 3;
-    if (__builtin_cpu_supports("avx2"))
         return 2;
 #endif
     return 1;

@@ -10,12 +10,12 @@ the simulated array, so total charge is conserved.
 A frame is restored on its thread's `_Stencil`. Where the compiled kernels
 load (`_ckernel`), one call per frame writes the pixels into it, runs every
 pulse with the re-digitization between them, and thresholds the result.
-That call and the substep loop run in the widest instruction-set variant
-this CPU has (AVX-512F, AVX2 or the baseline build), chosen once per
-process from what the library reports. The library is still built without
+That call and the substep loop run in the AVX-512F build where this CPU
+has it and in the baseline build otherwise, chosen once per process from
+what the library reports. The library is still built without
 -march=native, so one cached build loads on older CPUs too; compiling the
-three variants makes that first build take about half a second. The numpy
-steps of `_Stencil` are the fallback and give the same bits.
+two builds makes that first build take about 0.4 s. The numpy steps of
+`_Stencil` are the fallback and give the same bits.
 """
 
 from __future__ import annotations
@@ -129,9 +129,10 @@ class _Stencil:
         k * v is 4 * v off the grid's edge, exact in binary floating point, so
         only the edge rows and columns multiply by their own neighbor counts.
         """
-        compiled = _ckernel.substeps()
-        if compiled is not None:
-            compiled(self._cur.ctypes.data, self._nxt.ctypes.data, *self.shape, coupling, substeps)
+        kernels = _ckernel.kernels()
+        if kernels is not None:
+            kernels.substeps(self._cur.ctypes.data, self._nxt.ctypes.data, *self.shape, coupling,
+                             substeps)
             if substeps % 2:
                 self._cur, self._nxt = self._nxt, self._cur
             return
@@ -166,18 +167,18 @@ class _Stencil:
         the interior is thresholded back to bits and the ring zeroed, exactly
         as a store-and-restart would. amplitude == 0 means no conduction: the
         embedded state passes through. The final pulse's analog grid stays
-        in the stencil. The compiled kernel (`_ckernel.restore`) does all of
+        in the stencil. The compiled kernel (`_ckernel`) does all of
         it in one call; the numpy steps below are the fallback.
         """
         ring, vth, c = cfg.ring, cfg.vth, cfg.coupling
-        compiled = _ckernel.restore()
-        if compiled is not None:
-            # pixels may have been replaced by any layout; no copy when C-contiguous uint8
+        kernels = _ckernel.kernels()
+        if kernels is not None:
+            # pixels may have been replaced by any dtype or layout; no copy when C-contiguous uint8
             pixels = np.ascontiguousarray(frame.pixels, dtype=np.uint8)
             bits = np.empty(pixels.shape, np.uint8)
-            if compiled(pixels.ctypes.data, *pixels.shape, ring, self._cur.ctypes.data,
-                        self._nxt.ctypes.data, c, cfg.substeps_per_pulse, cfg.pulses, vth,
-                        bits.ctypes.data):
+            if kernels.restore(pixels.ctypes.data, *pixels.shape, ring, self._cur.ctypes.data,
+                               self._nxt.ctypes.data, c, cfg.substeps_per_pulse, cfg.pulses,
+                               vth, bits.ctypes.data):
                 self._cur, self._nxt = self._nxt, self._cur
             return bits
         self.load(frame.pixels, ring)

@@ -241,13 +241,14 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     (a row and a column pass have then both completed), when no candidates
     remain, or at the max_iters cap.
 
-    The compiled kernel (`_ckernel.search`) runs the whole search in one
+    The compiled kernel (`_ckernel`) runs the whole search in one
     call, outside the GIL, when this host can build it; otherwise
     :func:`_numpy_search` runs it, one batched numpy pass per iteration.
     Both count only the set pixels still inside a candidate and give the
     same candidates, in the same order.
     """
-    pixels = np.ascontiguousarray(frame.pixels).view(np.bool_)
+    # pixels may have been replaced by any dtype or layout; no copy when C-contiguous uint8
+    pixels = np.ascontiguousarray(frame.pixels, dtype=np.uint8).view(np.bool_)
     trips = _trip_table(cfg.projection, max(pixels.shape))
     candidates, iterations, regions, cells = (_compiled_search(pixels, trips, cfg.max_iters)
                                               or _numpy_search(pixels, trips, cfg.max_iters))
@@ -263,14 +264,14 @@ def _compiled_search(pixels: np.ndarray, trips: np.ndarray, max_iters: int):
     writes its candidates there: candidates are disjoint and each holds a
     set pixel, so there are never more of them than rows.
     """
-    search = _ckernel.search()
-    if search is None:
+    kernels = _ckernel.kernels()
+    if kernels is None:
         return None
     capacity = np.count_nonzero(pixels)
     work = np.empty((capacity, 4), np.int32)
     info = np.empty(max_iters + 2, np.int64)
-    n = search(pixels.ctypes.data, *pixels.shape, trips.ctypes.data, max_iters, capacity,
-               work.ctypes.data, info.ctypes.data)
+    n = kernels.search(pixels.ctypes.data, *pixels.shape, trips.ctypes.data, max_iters, capacity,
+                       work.ctypes.data, info.ctypes.data)
     if n < 0:
         return None
     iterations, regions = info[:2].tolist()

@@ -1,5 +1,6 @@
 import shutil
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ needs_cc = pytest.mark.skipif(shutil.which(_ckernel._CC) is None,
 
 def _compiled_kernels() -> tuple[str, ...]:
     """One entry per substep build that the compiled library holds and this CPU runs."""
-    loaded = _ckernel._loaded()
-    return () if loaded is None else tuple(f"compiled-{v}" for v in loaded.runnable)
+    k = _ckernel.kernels()
+    return () if k is None else tuple(f"compiled-{n}" for n in range(k.builds))
 
 
 # The package kernels. Each bit-exact test runs on every one this host can
@@ -31,9 +32,9 @@ def kernel_in_use(kernel: str):
     if kernel == "numpy":
         _ckernel._kernels = None
     else:
-        loaded = _ckernel._loaded()
-        _ckernel._kernels = _ckernel._bind(loaded.lib, loaded.runnable,
-                                           kernel.removeprefix("compiled-"))
+        k, n = _ckernel.kernels(), int(kernel.removeprefix("compiled-"))
+        _ckernel._kernels = k._replace(substeps=partial(k.substeps.func, n),
+                                       restore=partial(k.restore.func, n))
     try:
         yield
     except AssertionError as exc:

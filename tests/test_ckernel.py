@@ -2,7 +2,9 @@
 
 import functools
 import os
+import platform
 import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -30,11 +32,7 @@ def outputs() -> tuple:
 
 
 def kernels_loaded() -> bool:
-    """Every kernel comes from the compiled library, or none does."""
-    compiled = _ckernel.substeps() is not None
-    assert (_ckernel.restore() is not None) == compiled
-    assert (_ckernel.search() is not None) == compiled
-    return compiled
+    return _ckernel.kernels() is not None
 
 
 @pytest.fixture
@@ -166,9 +164,9 @@ def test_library_without_isa_variants_runs_the_compiled_baseline(first_use, nump
     assert source.count("defined(__x86_64__)") == 1
     cache_library_built_from(first_use, source.replace("defined(__x86_64__)", "0"))
     assert outputs() == numpy_outputs
-    assert kernels_loaded()
-    assert _ckernel._kernels.runnable == ("baseline",)
-    assert _ckernel._kernels.substeps.args == (0,)
+    k = _ckernel.kernels()
+    assert k is not None and k.builds == 1
+    assert k.substeps.args == k.restore.args == (0,)
     assert capfd.readouterr() == ("", "")
 
 
@@ -176,24 +174,39 @@ def test_library_without_isa_variants_runs_the_compiled_baseline(first_use, nump
 def test_widest_variant_runs_and_unrunnable_numbers_run_the_baseline():
     """The loader picks the widest build this CPU runs; the library runs the baseline for
     a variant number that it lacks or that this CPU cannot run."""
-    loaded = _ckernel._loaded()
-    widest = _ckernel.VARIANTS.index(loaded.runnable[-1])
-    assert loaded.substeps.args == loaded.restore.args == (widest,)
+    loaded = _ckernel.kernels()
+    assert loaded.substeps.args == loaded.restore.args == (loaded.builds - 1,)
     frame = BinaryFrame((np.random.default_rng(4).random((9, 13)) < 0.4).astype(np.uint8))
     cfg = DiffusionConfig(pulses=2)
 
     def restore(number):
         cur, nxt = np.zeros(13 * 17), np.zeros(13 * 17)
         bits = np.empty((9, 13), np.uint8)
-        swapped = loaded.lib.cramsim_restore(number, frame.pixels.ctypes.data, 9, 13, 1,
-                                             cur.ctypes.data, nxt.ctypes.data, cfg.coupling,
-                                             cfg.substeps_per_pulse, cfg.pulses, cfg.vth,
-                                             bits.ctypes.data)
+        swapped = loaded.restore.func(number, frame.pixels.ctypes.data, 9, 13, 1,
+                                      cur.ctypes.data, nxt.ctypes.data, cfg.coupling,
+                                      cfg.substeps_per_pulse, cfg.pulses, cfg.vth,
+                                      bits.ctypes.data)
         return swapped, (nxt if swapped else cur).tobytes(), bits.tobytes()
 
     baseline = restore(0)
-    for number in (len(loaded.runnable), len(_ckernel.VARIANTS), -1, 99):
+    # 2: no library holds more than the baseline and the AVX-512F build
+    for number in (loaded.builds, 2, -1, 99):
         assert restore(number) == baseline
+
+
+def _cpu_flags() -> set[str]:
+    for line in Path("/proc/cpuinfo").read_text().splitlines():
+        if line.startswith("flags"):
+            return set(line.partition(":")[2].split())
+    return set()
+
+
+@needs_cc
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.machine() != "x86_64",
+                    reason="reads the x86 flags of /proc/cpuinfo")
+def test_avx512f_build_is_bound_exactly_where_the_cpu_has_avx512f():
+    """The library binds its AVX-512F build on a CPU that reports avx512f, else the baseline."""
+    assert _ckernel.kernels().builds == 1 + ("avx512f" in _cpu_flags())
 
 
 @needs_cc
@@ -238,7 +251,7 @@ def test_search_declines_more_set_pixels_than_it_has_room_for():
     trips[0] = 0
     work = np.zeros((16, 4), np.int32)  # one row beyond the room the kernel is told of
     info = np.zeros(18, np.int64)
-    search = _ckernel.search()
+    search = _ckernel.kernels().search
     assert search(pixels.ctypes.data, 3, 5, trips.ctypes.data, 16, 14, work.ctypes.data,
                   info.ctypes.data) == -1
     assert not work[14:].any()

@@ -401,16 +401,19 @@ def test_search_at_its_buffer_bounds(pixels, found):
 
 
 def test_search_reads_pixels_in_any_memory_layout():
-    """A frame whose pixels were replaced by a Fortran-order or strided array
-    searches like its C-contiguous copy: a kernel must not read the raw buffer."""
+    """A frame whose pixels were replaced by a Fortran-order, strided, reversed, int64
+    or float64 array searches like its C-contiguous uint8 copy: a kernel must not read
+    the raw buffer."""
     rng = np.random.default_rng(5)
     pixels = (rng.random((37, 53)) < 0.15).astype(np.uint8)
     padded = np.ones((74, 106), dtype=np.uint8)  # every cell the view skips is set
     padded[::2, ::2] = pixels
     layouts = {"fortran": np.asfortranarray(pixels), "strided": padded[::2, ::2],
-               "reversed": pixels[::-1].copy()[::-1]}
+               "reversed": pixels[::-1].copy()[::-1], "int64": pixels.astype(np.int64),
+               "float64": np.asfortranarray(pixels, dtype=np.float64)}
     for name, layout in layouts.items():
-        assert np.array_equal(layout, pixels) and not layout.flags.c_contiguous, name
+        assert np.array_equal(layout, pixels), name
+        assert not (layout.flags.c_contiguous and layout.dtype == np.uint8), name
     cfg = RpConfig()
     for kernel in KERNELS:
         with kernel_in_use(kernel):
