@@ -1,25 +1,23 @@
 """The compiled kernels: `_kernel.c`, built with the system C compiler on first use.
 
-The one source holds the diffusion substeps (used by
-``diffusion._Stencil.run``), a whole restoration around them (used by
+The library holds one call per pipeline stage: a whole restoration (used by
 ``diffusion.restore_image`` and ``apply_pulses``) and the projection search
-(used by ``projection.iss``); all go into one shared library, built or
-loaded once per process on the first call to :func:`kernels`. The library
-is cached per user under ``$XDG_CACHE_HOME/cramsim`` (``~/.cache/cramsim``
-by default), in a file named by a hash of the source, the compiler flags
-and the machine type, so an edited source or another architecture never
-loads a stale build. If it cannot be built or loaded, or lacks one of the
-kernels, for any reason, :func:`kernels` returns None for the rest of the
-process and the callers keep their numpy kernels; nothing is printed.
-ctypes releases the GIL for the length of each call.
+(used by ``projection.iss``). It is built or loaded once per process on the
+first call to :func:`kernels`, and cached per user under
+``$XDG_CACHE_HOME/cramsim`` (``~/.cache/cramsim`` by default), in a file
+named by a hash of the source, the compiler flags and the machine type, so
+an edited source or another architecture never loads a stale build. If it
+cannot be built or loaded, or lacks one of the kernels, for any reason,
+:func:`kernels` returns None for the rest of the process and the callers
+keep their numpy kernels; nothing is printed. ctypes releases the GIL for
+the length of each call.
 
-On x86-64 the substep body is compiled twice, a baseline and an AVX-512F
-build; the library reports how many of its builds this CPU runs, and both
-diffusion kernels are bound to the widest. Only `_kernel.c` knows which
-builds exist. A library built on another architecture holds the baseline
-alone. There is no AVX2 build: no benchmarked CPU would pick it, so its gain
-was never measured, and it comes back only with a measured gain on a CPU
-with AVX2 but no AVX-512F.
+On x86-64 the restore is compiled twice, a baseline and an AVX-512F build;
+the library reports how many of its builds this CPU runs, and the restore is
+bound to the widest. Only `_kernel.c` knows which builds exist. A library
+built on another architecture holds the baseline alone. There is no AVX2
+build: no benchmarked CPU would pick it, so its gain was never measured, and
+it comes back only with a measured gain on a CPU with AVX2 but no AVX-512F.
 """
 
 from __future__ import annotations
@@ -41,15 +39,13 @@ _COMPILE_TIMEOUT_S = 120
 
 
 class _Kernels(NamedTuple):
-    # f(cur_addr, nxt_addr, rows, cols, coupling, substeps)
-    substeps: functools.partial
     # f(pixels_addr, height, width, ring, cur_addr, nxt_addr, coupling, substeps, pulses, vth,
     #   bits_addr); returns 1 if the final grid is in nxt
     restore: functools.partial
     # f(pixels_addr, rows, cols, trips_addr, max_iters, capacity, work_addr, info_addr);
     # returns the candidate count, or -1 if it declined
     search: object
-    builds: int  # the substep builds the library holds and this CPU runs; the widest is bound
+    builds: int  # the restore builds the library holds and this CPU runs; the widest is bound
 
 
 _UNTRIED = object()
@@ -104,24 +100,18 @@ def _load():
                     if os.path.exists(tmp):
                         os.unlink(tmp)
                 lib = ctypes.CDLL(path)
-        functions = (lib.cramsim_variants, lib.cramsim_substeps, lib.cramsim_restore,
-                     lib.cramsim_search)
+        variants, restore, search = lib.cramsim_variants, lib.cramsim_restore, lib.cramsim_search
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    variants, substeps, restore, search = functions
     long, double, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
     variants.argtypes = ()
     variants.restype = long
-    substeps.argtypes = (long, ptr, ptr, long, long, double, long)
-    substeps.restype = None
     restore.argtypes = (long, ptr, long, long, long, ptr, ptr, double, long, long, double, ptr)
     restore.restype = long
     search.argtypes = (ptr, long, long, ptr, long, long, ptr, ptr)
     search.restype = long
     builds = variants()
-    widest = builds - 1
-    return _Kernels(functools.partial(substeps, widest), functools.partial(restore, widest),
-                    search, builds)
+    return _Kernels(functools.partial(restore, builds - 1), search, builds)
 
 
 def _build_key() -> str:

@@ -1,9 +1,10 @@
 /* The package's compiled kernels, built into one shared library by _ckernel.py.
  *
- * cramsim_substeps runs explicit diffusion substeps, and cramsim_restore a whole
- * restoration around them; cramsim_search runs the alternating-projection
- * region search. Each gives exactly the results of its numpy kernel, which
- * stays as the fallback for hosts without a compiler.
+ * cramsim_restore runs a whole restoration (diffusion substeps, with the
+ * re-digitization between pulses), and cramsim_search the alternating-
+ * projection region search: one call per pipeline stage. Each gives exactly
+ * the results of its numpy kernel, which stays as the fallback for hosts
+ * without a compiler.
  */
 
 #include <stdint.h>
@@ -129,12 +130,6 @@ BODY long restore_body(const unsigned char *pixels, long h, long w, long ring, d
                             substeps_##name);                                                 \
     }
 
-typedef struct {
-    Substeps *substeps;
-    long (*restore)(const unsigned char *, long, long, long, double *, double *, double, long,
-                    long, double, unsigned char *);
-} Variant;
-
 VARIANT(baseline, )
 
 /* The AVX-512F variant, compiled for 512-bit vectors whatever the build flags
@@ -152,10 +147,15 @@ VARIANT(baseline, )
 VARIANT(avx512f, __attribute__((target("avx512f"))))
 #endif
 
-static const Variant variants[] = {
-    {substeps_baseline, restore_baseline},
+typedef long Restore(const unsigned char *pixels, long h, long w, long ring, double *cur,
+                     double *nxt, double c, long substeps, long pulses, double vth,
+                     unsigned char *bits);
+
+/* Each build's restore, in the order of cramsim_variants. */
+static Restore *const restores[] = {
+    restore_baseline,
 #ifdef AVX512F_VARIANT
-    {substeps_avx512f, restore_avx512f},
+    restore_avx512f,
 #endif
 };
 
@@ -168,19 +168,6 @@ long cramsim_variants(void)
         return 2;
 #endif
     return 1;
-}
-
-/* Variant number variant, or the baseline if this CPU cannot run it. */
-static const Variant *variant_numbered(long variant)
-{
-    return variants + (variant > 0 && variant < cramsim_variants() ? variant : 0);
-}
-
-/* The substeps above in variant number variant (see cramsim_variants). */
-void cramsim_substeps(long variant, double *cur, double *nxt, long rows, long cols, double c,
-                      long substeps)
-{
-    variant_numbered(variant)->substeps(cur, nxt, rows, cols, c, substeps);
 }
 
 /* The whole restoration of diffusion.restore_image in one call, in variant
@@ -199,8 +186,10 @@ long cramsim_restore(long variant, const unsigned char *pixels, long h, long w, 
                      double *cur, double *nxt, double c, long substeps, long pulses, double vth,
                      unsigned char *bits)
 {
-    return variant_numbered(variant)->restore(pixels, h, w, ring, cur, nxt, c, substeps, pulses,
-                                              vth, bits);
+    /* variant number variant, or the baseline if this CPU cannot run it */
+    if (variant < 0 || variant >= cramsim_variants())
+        variant = 0;
+    return restores[variant](pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits);
 }
 
 /* The set pixels still inside a candidate: row, column and owning candidate. */

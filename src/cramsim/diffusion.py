@@ -10,12 +10,10 @@ the simulated array, so total charge is conserved.
 A frame is restored on its thread's `_Stencil`. Where the compiled kernels
 load (`_ckernel`), one call per frame writes the pixels into it, runs every
 pulse with the re-digitization between them, and thresholds the result.
-That call and the substep loop run in the AVX-512F build where this CPU
-has it and in the baseline build otherwise, chosen once per process from
-what the library reports. The library is still built without
--march=native, so one cached build loads on older CPUs too; compiling the
-two builds makes that first build take about 0.4 s. The numpy steps of
-`_Stencil` are the fallback and give the same bits.
+That call runs in the AVX-512F build where this CPU has it and in the
+baseline build otherwise, chosen once per process from what the library
+reports. The numpy steps of `_Stencil` are the fallback and give the same
+bits. `diffuse_substep` and the probe run the numpy kernel.
 """
 
 from __future__ import annotations
@@ -124,18 +122,9 @@ class _Stencil:
     def run(self, coupling: float, substeps: int) -> None:
         """Advance the grid by explicit substeps; see :func:`diffuse_substep`.
 
-        The compiled kernel (`_ckernel`) runs them when this host can build
-        it; the numpy body below is the fallback, with the same bits. There,
         k * v is 4 * v off the grid's edge, exact in binary floating point, so
         only the edge rows and columns multiply by their own neighbor counts.
         """
-        kernels = _ckernel.kernels()
-        if kernels is not None:
-            kernels.substeps(self._cur.ctypes.data, self._nxt.ctypes.data, *self.shape, coupling,
-                             substeps)
-            if substeps % 2:
-                self._cur, self._nxt = self._nxt, self._cur
-            return
         wp, tmp = self._wp, self._tmp
         lo, hi = wp, wp + tmp.size
         tmp2 = tmp.reshape(-1, wp)
@@ -173,10 +162,8 @@ class _Stencil:
         ring, vth, c = cfg.ring, cfg.vth, cfg.coupling
         kernels = _ckernel.kernels()
         if kernels is not None:
-            # pixels may have been replaced by any dtype or layout; no copy when C-contiguous uint8
-            pixels = np.ascontiguousarray(frame.pixels, dtype=np.uint8)
-            bits = np.empty(pixels.shape, np.uint8)
-            if kernels.restore(pixels.ctypes.data, *pixels.shape, ring, self._cur.ctypes.data,
+            bits = np.empty(frame.pixels.shape, np.uint8)
+            if kernels.restore(frame.pixels.ctypes.data, *bits.shape, ring, self._cur.ctypes.data,
                                self._nxt.ctypes.data, c, cfg.substeps_per_pulse, cfg.pulses,
                                vth, bits.ctypes.data):
                 self._cur, self._nxt = self._nxt, self._cur

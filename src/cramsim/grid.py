@@ -24,9 +24,10 @@ MAX_DIM = 4096
 _VOLT_TOL = 1e-9  # slack for float round-off at the 0/1 rails
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BinaryFrame:
-    """A height x width grid of {0,1} pixels, row-major."""
+    """A height x width grid of {0,1} pixels, always one C-contiguous uint8 array that the
+    kernels read as it is. The frame is frozen; its pixels stay writable in place."""
 
     pixels: np.ndarray
 
@@ -36,7 +37,7 @@ class BinaryFrame:
             raise ValueError(f"pixels must be a non-empty 2-D array, got shape {px.shape}")
         if px.max(initial=0) > 1:
             raise ValueError("pixel values must be 0 or 1")
-        self.pixels = px
+        object.__setattr__(self, "pixels", px)
 
     @classmethod
     def zeros(cls, width: int = DEFAULT_WIDTH, height: int = DEFAULT_HEIGHT) -> "BinaryFrame":

@@ -247,8 +247,7 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     Both count only the set pixels still inside a candidate and give the
     same candidates, in the same order.
     """
-    # pixels may have been replaced by any dtype or layout; no copy when C-contiguous uint8
-    pixels = np.ascontiguousarray(frame.pixels, dtype=np.uint8).view(np.bool_)
+    pixels = frame.pixels
     trips = _trip_table(cfg.projection, max(pixels.shape))
     candidates, iterations, regions, cells = (_compiled_search(pixels, trips, cfg.max_iters)
                                               or _numpy_search(pixels, trips, cfg.max_iters))
@@ -263,11 +262,17 @@ def _compiled_search(pixels: np.ndarray, trips: np.ndarray, max_iters: int):
     pass). The kernel keeps the set pixels in work, one row each, and then
     writes its candidates there: candidates are disjoint and each holds a
     set pixel, so there are never more of them than rows.
+
+    max_iters is clamped to 2 * capacity + 2, which sizes info, fits a C long
+    and never changes the result: every candidate holds a set pixel, and a
+    pass that does not stop the search changes the candidate count, so
+    2 * (points kept) - (candidates) stays >= 0 and drops on every such pass.
     """
     kernels = _ckernel.kernels()
     if kernels is None:
         return None
     capacity = np.count_nonzero(pixels)
+    max_iters = min(max_iters, 2 * capacity + 2)
     work = np.empty((capacity, 4), np.int32)
     info = np.empty(max_iters + 2, np.int64)
     n = kernels.search(pixels.ctypes.data, *pixels.shape, trips.ctypes.data, max_iters, capacity,

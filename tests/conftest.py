@@ -1,4 +1,7 @@
+import atexit
+import os
 import shutil
+import tempfile
 from contextlib import contextmanager
 from functools import partial
 
@@ -9,12 +12,18 @@ from cramsim import _ckernel
 from cramsim.grid import BinaryFrame
 from cramsim.projection import Box
 
+# Build the kernels into a cache of this session's own, removed when it ends,
+# so the suite leaves no library in the user's cache.
+_CACHE = tempfile.mkdtemp(prefix="cramsim-test-cache-")
+os.environ["XDG_CACHE_HOME"] = _CACHE
+atexit.register(shutil.rmtree, _CACHE, ignore_errors=True)
+
 needs_cc = pytest.mark.skipif(shutil.which(_ckernel._CC) is None,
                               reason="no C compiler on PATH to build the kernels")
 
 
 def _compiled_kernels() -> tuple[str, ...]:
-    """One entry per substep build that the compiled library holds and this CPU runs."""
+    """One entry per restore build that the compiled library holds and this CPU runs."""
     k = _ckernel.kernels()
     return () if k is None else tuple(f"compiled-{n}" for n in range(k.builds))
 
@@ -33,8 +42,7 @@ def kernel_in_use(kernel: str):
         _ckernel._kernels = None
     else:
         k, n = _ckernel.kernels(), int(kernel.removeprefix("compiled-"))
-        _ckernel._kernels = k._replace(substeps=partial(k.substeps.func, n),
-                                       restore=partial(k.restore.func, n))
+        _ckernel._kernels = k._replace(restore=partial(k.restore.func, n))
     try:
         yield
     except AssertionError as exc:

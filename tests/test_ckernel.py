@@ -159,14 +159,14 @@ def test_library_without_the_restore_falls_back_for_every_kernel(first_use, nump
 @needs_cc
 def test_library_without_isa_variants_runs_the_compiled_baseline(first_use, numpy_outputs,
                                                                   capfd):
-    """A build for another architecture holds the baseline substep body alone, and runs it."""
+    """A build for another architecture holds the baseline restore alone, and runs it."""
     source = _ckernel._SOURCE.read_text()
     assert source.count("defined(__x86_64__)") == 1
     cache_library_built_from(first_use, source.replace("defined(__x86_64__)", "0"))
     assert outputs() == numpy_outputs
     k = _ckernel.kernels()
     assert k is not None and k.builds == 1
-    assert k.substeps.args == k.restore.args == (0,)
+    assert k.restore.args == (0,)
     assert capfd.readouterr() == ("", "")
 
 
@@ -175,7 +175,7 @@ def test_widest_variant_runs_and_unrunnable_numbers_run_the_baseline():
     """The loader picks the widest build this CPU runs; the library runs the baseline for
     a variant number that it lacks or that this CPU cannot run."""
     loaded = _ckernel.kernels()
-    assert loaded.substeps.args == loaded.restore.args == (loaded.builds - 1,)
+    assert loaded.restore.args == (loaded.builds - 1,)
     frame = BinaryFrame((np.random.default_rng(4).random((9, 13)) < 0.4).astype(np.uint8))
     cfg = DiffusionConfig(pulses=2)
 

@@ -343,6 +343,15 @@ def test_eval_malformed_gt_fails(tmp_path, corpus, capsys, payload):
     assert err[0].startswith("cram-sim: error: ") and str(gt) in err[0]
 
 
+@pytest.mark.parametrize("max_iters", ["100000000000000", "10000000000000000000"])
+def test_propose_with_a_huge_iteration_cap(tmp_path, corpus, max_iters):
+    assert run_cli("propose", str(corpus), "--out", str(tmp_path / "huge"),
+                   "--rp.max_iters", max_iters) == 0
+    assert run_cli("propose", str(corpus), "--out", str(tmp_path / "large"),
+                   "--rp.max_iters", "1000000") == 0
+    assert _tree(tmp_path / "huge") == _tree(tmp_path / "large")
+
+
 # --- probe
 
 

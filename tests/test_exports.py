@@ -1,9 +1,11 @@
 """Every public function is called by the system, not only by its unit tests."""
 
+import inspect
 import re
 from pathlib import Path
 
 import cramsim
+from cramsim import _ckernel
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,3 +24,11 @@ def test_every_exported_function_has_a_caller():
     functions = [n for n in cramsim.__all__ if not isinstance(getattr(cramsim, n), type)]
     uncalled = [n for n in functions if not re.search(rf"(?<!def )\b{n}\(", source)]
     assert not uncalled, f"exported but never called: {uncalled}"
+
+
+def test_every_compiled_entry_point_is_bound():
+    """The library exports exactly the functions that the loader binds."""
+    source = _ckernel._SOURCE.read_text(encoding="utf-8")
+    defined = set(re.findall(r"^(?!static\b)[A-Za-z_][\w *]*\b(cramsim_\w+)\(", source, re.M))
+    bound = set(re.findall(r"\blib\.(cramsim_\w+)", inspect.getsource(_ckernel._load)))
+    assert defined and defined == bound

@@ -1,5 +1,7 @@
 """Frame and analog-state containers and the PBM/PGM file formats."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,18 @@ def test_frame_equality_is_by_content():
     b.pixels[1, 2] = 1
     assert a != b
     assert a != "not a frame"
+
+
+def test_frame_holds_c_contiguous_bytes_that_stay_writable():
+    """The frame alone sets the pixel format, and cannot be given another array."""
+    source = np.asfortranarray(np.eye(3, 5, dtype=np.float64))
+    f = BinaryFrame(source[:, ::2])
+    assert f.pixels.dtype == np.uint8 and f.pixels.flags.c_contiguous
+    assert f.pixels.tolist() == [[1, 0, 0], [0, 0, 0], [0, 1, 0]]
+    with pytest.raises(FrozenInstanceError):
+        f.pixels = np.ones((3, 3), dtype=np.uint8)
+    f.pixels[1, 1] = 1
+    assert f.popcount() == 3
 
 
 def test_analog_state_voltage_range_enforced():
