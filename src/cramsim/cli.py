@@ -20,8 +20,8 @@ import argparse
 import errno
 import functools
 import os
+import random
 import sys
-import tempfile
 from typing import NamedTuple
 
 from .config import RunConfig, known_keys, load_config
@@ -54,11 +54,27 @@ def worker_count() -> int:
     return n if n > 0 else (os.cpu_count() or 1)
 
 
+_temp_names = random.Random()  # temp-file name suffixes; not the global random state
+
+
 def _write_bytes(path: str, data: bytes) -> None:
-    """Write data to path by temp-and-rename, creating its directory if missing."""
+    """Write data to path by temp-and-rename, creating its directory if missing.
+
+    The temp file is created with mode 0o666, so the file follows the
+    process umask as a plain open() would. Its random name is retried on a
+    clash, as tempfile.mkstemp does.
+    """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    for _ in range(100):
+        tmp = os.path.join(directory, f".tmp-{_temp_names.getrandbits(48):012x}~")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(errno.EEXIST, "no unused temporary file name", directory)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -8,6 +8,7 @@ ground-truth-count-weighted macro F1 is reported alongside for comparison.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -29,19 +30,45 @@ def _pool_map(func, items: list, workers: int) -> list:
     """Apply func over items, in order, on the process's pool of `workers` threads.
 
     The pool for each worker count is created on first use and kept for the
-    life of the process, so repeated calls start no new threads. A task
-    running on a pool must never submit work to the same pool: once every
-    worker waits on such a task, nothing is left to run it. With one worker
-    or one item, func runs on the calling thread.
+    life of the process, so repeated calls start no new threads. Each call
+    submits one task per thread it can use, min(workers, len(items)), and
+    every task takes the next unclaimed item in turn until none is left, so
+    a thread that finishes early takes more frames. Results are stored by
+    item index. After a failure no further item is handed out; the call
+    waits for every task and raises the exception of the lowest failing
+    index, which is the one an in-order map would raise. A task running on
+    a pool must never submit work to the same pool: once every worker waits
+    on such a task, nothing is left to run it. With one worker or one item,
+    func runs on the calling thread.
     """
-    if workers <= 1 or len(items) <= 1:
+    n = len(items)
+    if workers <= 1 or n <= 1:
         return [func(item) for item in items]
     with _pools_lock:
         pool = _pools.get(workers)
         if pool is None:
             pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="cram-sim")
             _pools[workers] = pool
-    return list(pool.map(func, items))
+    results = [None] * n
+    errors: dict[int, BaseException] = {}  # item index -> what func raised
+    claim = itertools.count()  # next() on it is one atomic step under the GIL
+
+    def take_turns() -> None:
+        for i in claim:
+            if i >= n or errors:
+                return
+            try:
+                results[i] = func(items[i])
+            except BaseException as exc:  # re-raised on the calling thread below
+                errors[i] = exc
+                return
+
+    tasks = [pool.submit(take_turns) for _ in range(min(workers, n))]
+    for task in tasks:
+        task.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass(frozen=True)
@@ -227,8 +254,10 @@ def evaluate(
 ) -> list[EvalReport]:
     """Score the pipeline over a corpus, one report per IoU threshold.
 
-    tp/fp/fn accumulate globally (micro average); integer sums make the
-    reduction order irrelevant, so per-frame work may run in parallel.
+    A pool thread (the calling thread when workers is 1) proposes each
+    frame's boxes and matches them at every threshold. The calling thread
+    then sums tp/fp/fn (micro average) and the weighted F1 in frame order,
+    so the reports do not depend on the worker count, bit for bit.
     Every threshold is checked before any frame is proposed.
     """
     if not samples:
@@ -239,18 +268,19 @@ def evaluate(
     for thr in thresholds:
         _check_iou_threshold(thr)
 
-    def run(sample: FrameSample) -> list[Box]:
-        return pipeline.propose(sample.frame)
+    def score(sample: FrameSample) -> list[MatchResult]:
+        pred = pipeline.propose(sample.frame)
+        return [match_boxes(pred, sample.gt, thr) for thr in thresholds]
 
-    predictions = _pool_map(run, samples, workers)
+    matches = _pool_map(score, samples, workers)  # matches[frame][threshold]
 
     reports = []
-    for thr in thresholds:
+    for t, thr in enumerate(thresholds):
         tp = fp = fn = 0
         weight_sum = 0
         weighted_acc = 0.0
-        for sample, pred in zip(samples, predictions):
-            m = match_boxes(pred, sample.gt, thr)
+        for sample, frame_matches in zip(samples, matches):
+            m = frame_matches[t]
             tp += m.tp
             fp += m.fp
             fn += m.fn

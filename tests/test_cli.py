@@ -148,6 +148,20 @@ def test_synth_outputs(corpus):
     assert set(raw[0]) == {"x0", "y0", "x1", "y1"}
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_outputs_follow_the_umask(tmp_path, monkeypatch, umask, mode):
+    monkeypatch.setenv("CRAM_SIM_THREADS", "2")
+    old = os.umask(umask)
+    try:
+        assert run_cli("synth", "--out", str(tmp_path / "corpus"), *SYNTH_ARGS) == 0
+        assert run_cli("propose", str(tmp_path / "corpus"), "--out", str(tmp_path / "boxes")) == 0
+    finally:
+        os.umask(old)
+    files = sorted((tmp_path / "corpus").iterdir()) + sorted((tmp_path / "boxes").iterdir())
+    assert len(files) == 8 + 5  # a .pbm and a .gt.json per frame; a .boxes.json each, cycles.csv
+    assert {f.name: f.stat().st_mode & 0o777 for f in files} == {f.name: mode for f in files}
+
+
 # --- restore
 
 

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,8 +25,6 @@ from cramsim.oracle import (
     match_boxes,
 )
 from cramsim.projection import Box, RpConfig
-
-scipy_ndimage = pytest.importorskip("scipy.ndimage")
 
 
 # --- connected components
@@ -79,6 +78,7 @@ def test_ccl_pixel_counts_partition_the_ones():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_ccl_matches_scipy(data):
+    scipy_ndimage = pytest.importorskip("scipy.ndimage")  # only in the test extra
     h = data.draw(st.integers(1, 24))
     w = data.draw(st.integers(1, 24))
     density = data.draw(st.sampled_from([0.1, 0.35, 0.6, 0.9]))
@@ -352,3 +352,76 @@ def test_pool_map_creates_one_pool_for_concurrent_callers(monkeypatch):
     assert len(created) == rounds
     assert results == {(r, k): [x * k for x in range(8)]
                        for r in range(rounds) for k in range(n_clients)}
+
+
+@pytest.fixture()
+def short_switch_interval():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_pool_map_returns_results_in_item_order(workers, n, short_switch_interval):
+    def slow_square(x):
+        time.sleep(0.001 * ((x * 5) % 3))  # items finish out of order
+        return x * x
+
+    for _ in range(5):
+        assert oracle._pool_map(slow_square, list(range(n)), workers) == [x * x for x in range(n)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_pool_map_raises_lowest_failing_index_after_every_task_ends(workers):
+    """Slow item 1 fails after item 2 has failed, and no item is still running on return."""
+    lock = threading.Lock()
+    running = []
+
+    def func(x):
+        with lock:
+            running.append(x)
+        try:
+            time.sleep({0: 0.0, 1: 0.05, 2: 0.0}.get(x, 0.1))
+            if x in (1, 2):
+                raise ValueError(x)
+            return x
+        finally:
+            with lock:
+                running.remove(x)
+
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            oracle._pool_map(func, list(range(7)), workers)
+        assert info.value.args == (1,)
+        assert running == []
+
+
+def test_pool_map_submits_one_task_per_usable_thread(monkeypatch):
+    created = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            self.workers, self.submitted = max_workers, 0
+            created.append(self)
+            super().__init__(max_workers, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(oracle, "_pools", {})
+    try:
+        for workers in (2, 4):
+            for n in (0, 1, 2, 7):
+                for _ in range(3):
+                    before = sum(pool.submitted for pool in created)
+                    assert oracle._pool_map(str, list(range(n)), workers) == [str(x) for x in range(n)]
+                    submitted = sum(pool.submitted for pool in created) - before
+                    assert submitted <= (min(workers, n) if n > 1 else 0)
+        assert [pool.workers for pool in created] == [2, 4]
+    finally:
+        for pool in created:
+            pool.shutdown()
