@@ -6,11 +6,12 @@ The library holds one call per pipeline stage: a whole restoration (used by
 first call to :func:`kernels`, and cached per user under
 ``$XDG_CACHE_HOME/cramsim`` (``~/.cache/cramsim`` by default), in a file
 named by a hash of the source, the compiler flags and the machine type, so
-an edited source or another architecture never loads a stale build. If it
-cannot be built or loaded, or lacks one of the kernels, for any reason,
-:func:`kernels` returns None for the rest of the process and the callers
-keep their numpy kernels; nothing is printed. ctypes releases the GIL for
-the length of each call.
+an edited source or another architecture never loads a stale build; without
+a private cache it is built in a temporary directory, removed once the library
+is loaded. If it cannot be built or loaded, or lacks one of the kernels, for
+any reason, :func:`kernels` returns None for the rest of the process and the
+callers keep their numpy kernels; nothing is printed. ctypes releases the
+GIL for the length of each call.
 
 On x86-64 the restore is compiled twice, a baseline and an AVX-512F build;
 the library reports how many of its builds this CPU runs, and the restore is
@@ -42,8 +43,8 @@ class _Kernels(NamedTuple):
     # f(pixels_addr, height, width, ring, cur_addr, nxt_addr, coupling, substeps, pulses, vth,
     #   bits_addr); returns 1 if the final grid is in nxt
     restore: functools.partial
-    # f(pixels_addr, rows, cols, trips_addr, max_iters, capacity, work_addr, info_addr);
-    # returns the candidate count, or -1 if it declined
+    # f(pixels_addr, rows, cols, fewest, max_iters, capacity, work_addr, info_addr), a line
+    # tripping at fewest enabled 1s; returns the candidate count, or -1 if it declined
     search: object
     builds: int  # the restore builds the library holds and this CPU runs; the widest is bound
 
@@ -72,34 +73,28 @@ def _load():
     import subprocess
     import tempfile
 
-    def build(path: str) -> None:
-        subprocess.run([_CC, *_FLAGS, "-o", path, str(_SOURCE)], stdin=subprocess.DEVNULL,
-                       capture_output=True, timeout=_COMPILE_TIMEOUT_S, check=True)
-
     try:
         cache = _private_cache_dir()
-        if cache is None:
-            scratch = tempfile.mkdtemp(prefix="cramsim-")
-            try:
-                path = os.path.join(scratch, "kernel.so")
-                build(path)
-                lib = ctypes.CDLL(path)  # the mapping outlives the file
-            finally:
-                shutil.rmtree(scratch, ignore_errors=True)
-        else:
-            path = os.path.join(cache, f"kernel-{_build_key()}.so")
+        directory = cache or tempfile.mkdtemp(prefix="cramsim-")
+        try:
+            path = os.path.join(directory, f"kernel-{_build_key()}.so")
             try:
                 lib = ctypes.CDLL(path)
             except OSError:  # missing, or a broken file: build it and swap it in
-                fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so", dir=cache)
+                fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so", dir=directory)
                 os.close(fd)
                 try:
-                    build(tmp)
+                    subprocess.run([_CC, *_FLAGS, "-o", tmp, str(_SOURCE)],
+                                   stdin=subprocess.DEVNULL, capture_output=True,
+                                   timeout=_COMPILE_TIMEOUT_S, check=True)
                     os.replace(tmp, path)
                 finally:
                     if os.path.exists(tmp):
                         os.unlink(tmp)
-                lib = ctypes.CDLL(path)
+                lib = ctypes.CDLL(path)  # the mapping outlives the file
+        finally:
+            if directory != cache:
+                shutil.rmtree(directory, ignore_errors=True)
         variants, restore, search = lib.cramsim_variants, lib.cramsim_restore, lib.cramsim_search
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
@@ -108,7 +103,7 @@ def _load():
     variants.restype = long
     restore.argtypes = (long, ptr, long, long, long, ptr, ptr, double, long, long, double, ptr)
     restore.restype = long
-    search.argtypes = (ptr, long, long, ptr, long, long, ptr, ptr)
+    search.argtypes = (ptr, long, long, long, long, long, ptr, ptr)
     search.restype = long
     builds = variants()
     return _Kernels(functools.partial(restore, builds - 1), search, builds)

@@ -29,6 +29,7 @@ from .errors import ConfigError, GuardError
 from .grid import MAX_DIM, AnalogState, BinaryFrame
 
 MAX_PROBE_SUBSTEPS = 10**6
+MAX_COUNT = 2**31 - 1  # the most substeps per pulse, or pulses: a C long on every platform
 
 STABILITY_LIMIT = 0.25  # explicit 4-neighbor scheme stays a convex combination
 
@@ -38,9 +39,9 @@ class DiffusionConfig:
     """Knobs for one restoration pass.
 
     alpha: dimensionless per-substep coupling dt/(R*C), in (0, 0.25].
-    substeps_per_pulse: pulse width in substeps.
+    substeps_per_pulse: pulse width in substeps, in [1, MAX_COUNT].
     amplitude: conductance scale >= 0 multiplying alpha (pulse amplitude).
-    pulses: number of enable pulses.
+    pulses: number of enable pulses, in [1, MAX_COUNT].
     vth: inverter switching threshold in (0, 1).
     ring: width of the grounded dummy ring around the frame, in [0, MAX_DIM].
     """
@@ -62,10 +63,10 @@ class DiffusionConfig:
                 f"amplitude*alpha = {self.amplitude * self.alpha} exceeds "
                 f"stability limit {STABILITY_LIMIT}"
             )
-        if self.substeps_per_pulse < 1:
-            raise ConfigError("substeps_per_pulse must be >= 1")
-        if self.pulses < 1:
-            raise ConfigError("pulses must be >= 1")
+        for name in ("substeps_per_pulse", "pulses"):
+            value = getattr(self, name)
+            if not 1 <= value <= MAX_COUNT:
+                raise ConfigError(f"{name} must be in [1, {MAX_COUNT}], got {value}")
         if not 0.0 < self.vth < 1.0:
             raise ConfigError(f"vth must be in (0, 1), got {self.vth}")
         if not 0 <= self.ring <= MAX_DIM:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _ckernel
 from .errors import ConfigError, InputError
-from .grid import BinaryFrame
+from .grid import MAX_DIM, BinaryFrame
 from .timing import (
     CONTROLLER_FIXED,
     CONTROLLER_OBJECT,
@@ -179,22 +179,23 @@ class IssResult:
 
 
 @functools.lru_cache(maxsize=16)
-def _trip_table(cfg: ProjectionConfig, longest: int) -> np.ndarray:
-    """Read-only line_trips output for every count from 0 to longest."""
-    table = line_trips(np.arange(longest + 1), cfg)
-    table.flags.writeable = False
-    return table
+def _fewest_to_trip(cfg: ProjectionConfig) -> int:
+    """The fewest enabled 1s that trip a line, at least 1; MAX_DIM + 1 if none of 0..MAX_DIM
+    does. Detection is monotone in the count, so a line of at most MAX_DIM cells trips iff
+    it holds at least this many."""
+    trips = line_trips(np.arange(MAX_DIM + 1), cfg)
+    return int(trips.argmax()) if trips.any() else MAX_DIM + 1
 
 
 def _project(
-    cand: np.ndarray, points: np.ndarray, owner: np.ndarray, a: int, trips: np.ndarray
+    cand: np.ndarray, points: np.ndarray, owner: np.ndarray, a: int, fewest: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One batched pass: project every candidate onto one axis, split on its runs.
 
     cand holds one row [r0, r1, c0, c1] per candidate; a is 0 to project onto
     rows and 2 onto columns. points holds the row (points[0]) and column
     (points[1]) of each set pixel inside a candidate, owner the candidate it
-    lies in, and trips[n] the detector output of a line with n enabled 1s.
+    lies in, and a line trips iff it holds at least fewest enabled 1s.
     The lines of all candidates are numbered one after another, each
     candidate's after one clear gap line, so one bincount gives every line's
     count and no run crosses from one candidate into the next. Each run of
@@ -209,7 +210,7 @@ def _project(
     line += points[a // 2]
     # one more gap line after the last candidate closes its last run
     counts = np.bincount(line, minlength=int(block_end[-1]) + 1)
-    bits = trips[counts]
+    bits = counts >= fewest
     flips = bits.copy()  # flips[j]: bits[j] differs from bits[j - 1]
     flips[1:] ^= bits[:-1]
     edges = flips.nonzero()[0]  # runs start at edges[0::2] and stop before edges[1::2]
@@ -220,9 +221,9 @@ def _project(
     refined[:, a] = starts - offset
     refined[:, a + 1] = stops - offset - 1
     owner = (flips.cumsum() >> 1)[line]  # the run of each tripped line
-    # Detection is monotone in the count, so when one enabled 1 trips a line
-    # every set pixel lies on a tripped line and stays inside a candidate.
-    if not trips[1] and counts[bits].sum() < len(line):
+    # When one enabled 1 trips a line, every set pixel lies on a tripped line
+    # and stays inside a candidate.
+    if fewest > 1 and counts[bits].sum() < len(line):
         inside = bits[line]
         points, owner = points.compress(inside, axis=1), owner.compress(inside)
     return refined, points, owner
@@ -245,17 +246,19 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     call, outside the GIL, when this host can build it; otherwise
     :func:`_numpy_search` runs it, one batched numpy pass per iteration.
     Both count only the set pixels still inside a candidate and give the
-    same candidates, in the same order.
+    same candidates, in the same order. A side over MAX_DIM raises InputError.
     """
     pixels = frame.pixels
-    trips = _trip_table(cfg.projection, max(pixels.shape))
-    candidates, iterations, regions, cells = (_compiled_search(pixels, trips, cfg.max_iters)
-                                              or _numpy_search(pixels, trips, cfg.max_iters))
+    if max(pixels.shape) > MAX_DIM:
+        raise InputError(f"frame {frame.width}x{frame.height} exceeds {MAX_DIM}x{MAX_DIM}")
+    fewest = _fewest_to_trip(cfg.projection)
+    candidates, iterations, regions, cells = (_compiled_search(pixels, fewest, cfg.max_iters)
+                                              or _numpy_search(pixels, fewest, cfg.max_iters))
     trace = CycleTrace({FULL_AXIS_PROJECTION: 1, REGION_PROJECTION: regions})
     return IssResult(candidates, iterations, trace, cells)
 
 
-def _compiled_search(pixels: np.ndarray, trips: np.ndarray, max_iters: int):
+def _compiled_search(pixels: np.ndarray, fewest: int, max_iters: int):
     """The search in one compiled call, or None without the kernel or if it declined the frame.
 
     Returns (sorted candidates, iterations, region projections, cells per
@@ -275,7 +278,7 @@ def _compiled_search(pixels: np.ndarray, trips: np.ndarray, max_iters: int):
     max_iters = min(max_iters, 2 * capacity + 2)
     work = np.empty((capacity, 4), np.int32)
     info = np.empty(max_iters + 2, np.int64)
-    n = kernels.search(pixels.ctypes.data, *pixels.shape, trips.ctypes.data, max_iters, capacity,
+    n = kernels.search(pixels.ctypes.data, *pixels.shape, fewest, max_iters, capacity,
                        work.ctypes.data, info.ctypes.data)
     if n < 0:
         return None
@@ -283,7 +286,7 @@ def _compiled_search(pixels: np.ndarray, trips: np.ndarray, max_iters: int):
     return work[:n].astype(np.int64), iterations, regions, info[2:2 + iterations].tolist()
 
 
-def _numpy_search(pixels: np.ndarray, trips: np.ndarray, max_iters: int):
+def _numpy_search(pixels: np.ndarray, fewest: int, max_iters: int):
     """The search as one batched :func:`_project` pass per iteration.
 
     Returns (sorted candidates, iterations, region projections, cells per
@@ -293,7 +296,7 @@ def _numpy_search(pixels: np.ndarray, trips: np.ndarray, max_iters: int):
     points = np.array(np.divmod(np.flatnonzero(pixels), width))
     whole = np.array([[0, height - 1, 0, width - 1]])
     candidates, points, owner = _project(
-        whole, points, np.zeros_like(points[0]), 0, trips)
+        whole, points, np.zeros_like(points[0]), 0, fewest)
     passes = [whole]  # the candidates each projection sensed
     iterations = 1
     prev_count = len(candidates)
@@ -302,7 +305,7 @@ def _numpy_search(pixels: np.ndarray, trips: np.ndarray, max_iters: int):
         a = 2 if iterations % 2 == 1 else 0
         iterations += 1
         passes.append(candidates)
-        candidates, points, owner = _project(candidates, points, owner, a, trips)
+        candidates, points, owner = _project(candidates, points, owner, a, fewest)
         if len(candidates) == prev_count:
             break
         prev_count = len(candidates)

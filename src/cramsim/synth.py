@@ -47,6 +47,10 @@ class SynthConfig:
             raise ConfigError(f"frame {self.width}x{self.height} exceeds {MAX_DIM}x{MAX_DIM}")
         if not 1 <= self.objects_min <= self.objects_max:
             raise ConfigError("need 1 <= objects_min <= objects_max")
+        pixels = self.width * self.height  # a frame holds no more objects than pixels
+        if self.objects_max > pixels:
+            raise ConfigError(f"objects_max must be <= width * height = {pixels}, "
+                              f"got {self.objects_max}")
         if not 1 <= self.side_min <= self.side_max:
             raise ConfigError("need 1 <= side_min <= side_max")
         if self.side_max > min(self.width, self.height):

@@ -247,14 +247,24 @@ def test_first_use_builds_once_into_the_cache_only(first_use, numpy_outputs, mon
 def test_search_declines_more_set_pixels_than_it_has_room_for():
     """The kernel never writes past its work rows: it returns -1 instead."""
     pixels = np.ones((3, 5), dtype=np.uint8)
-    trips = np.ones(6, dtype=np.uint8)
-    trips[0] = 0
     work = np.zeros((16, 4), np.int32)  # one row beyond the room the kernel is told of
     info = np.zeros(18, np.int64)
     search = _ckernel.kernels().search
-    assert search(pixels.ctypes.data, 3, 5, trips.ctypes.data, 16, 14, work.ctypes.data,
-                  info.ctypes.data) == -1
+    assert search(pixels.ctypes.data, 3, 5, 1, 16, 14, work.ctypes.data, info.ctypes.data) == -1
     assert not work[14:].any()
-    assert search(pixels.ctypes.data, 3, 5, trips.ctypes.data, 16, 15, work.ctypes.data,
-                  info.ctypes.data) == 1
+    assert search(pixels.ctypes.data, 3, 5, 1, 16, 15, work.ctypes.data, info.ctypes.data) == 1
     assert work[0].tolist() == [0, 2, 0, 4] and info[:2].tolist() == [2, 1]
+
+
+@needs_cc
+def test_search_declines_a_trip_count_below_one():
+    """With fewest 0 an empty line would trip, and a run without a point could overrun the
+    candidate rows: the kernel returns -1 instead."""
+    pixels = np.eye(3, 5, dtype=np.uint8)
+    work = np.zeros((3, 4), np.int32)
+    info = np.zeros(18, np.int64)
+    search = _ckernel.kernels().search
+    for fewest in (0, -1):
+        assert search(pixels.ctypes.data, 3, 5, fewest, 16, 3, work.ctypes.data,
+                      info.ctypes.data) == -1
+    assert not work.any() and not info.any()

@@ -443,6 +443,14 @@ def test_exit_codes(tmp_path, monkeypatch):
     (["probe", "--frame.width"], 2),
     # a newline in the message is escaped, not printed
     (["propose", "missing\nframe.pbm"], 1),
+    # 2**64 + 1 would wrap to 1 in the compiled restore's C long
+    (["restore", "CORPUS", "--diffusion.substeps_per_pulse", str(2**64 + 1)], 2),
+    (["restore", "CORPUS", "--diffusion.pulses", str(2**64 + 1)], 2),
+    (["propose", "CORPUS", "--propose.restore", "true",
+      "--diffusion.substeps_per_pulse", str(2**64 + 1)], 2),
+    (["eval", "CORPUS", "--eval.sweep_amplitudes", "1", "--eval.sweep_substeps", str(2**31)], 2),
+    # more objects than a frame has pixels
+    (["synth", "--synth.objects_max", str(10**20)], 2),
 ])
 def test_failed_command_leaves_no_out_directory(tmp_path, capsys, monkeypatch, command, code):
     from cramsim import cli, oracle

@@ -172,6 +172,22 @@ def test_thin_grids_and_buffer_swap_parity(shape, substeps, coupling, seed):
     assert_zero_borders(stencil)
 
 
+def test_cells_at_exactly_vth_restore_to_0():
+    """Every kernel thresholds strictly: cells that end exactly at vth restore to 0, within
+    the compiled threshold's 16-cell blocks and in its tail."""
+    # One row, no ring, one substep at coupling 0.25: a lone 1 keeps exactly 0.5, and a 0
+    # between two 1s receives exactly 0.5. 36 cells make two blocks and a tail of 4.
+    frame = BinaryFrame(np.array([[1, 0, 1, 0, 0] * 7 + [1]], np.uint8))
+    cfg = DiffusionConfig(alpha=0.25, substeps_per_pulse=1, vth=0.5, ring=0)
+    volts = reference.apply_pulses(frame, cfg, 0).volts
+    assert (volts == 0.5).sum() == 20 and (volts > 0.5).sum() == 2
+    want = reference.restore_image(frame, cfg, 0).pixels
+    assert want.sum() == 2
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            assert_same_bits(restore_image(frame, cfg).pixels, want)
+
+
 def random_frame(rng: np.random.Generator, shape: tuple[int, int]) -> BinaryFrame:
     return BinaryFrame((rng.random(shape) < 0.4).astype(np.uint8))
 
@@ -404,6 +420,12 @@ def test_config_validation():
         DiffusionConfig(substeps_per_pulse=0)
     with pytest.raises(ConfigError):
         DiffusionConfig(pulses=0)
+    # the compiled restore takes both as a C long; the largest is only constructed, never run
+    for name in ("substeps_per_pulse", "pulses"):
+        for bad in (2**31, 2**64 + 1):
+            with pytest.raises(ConfigError, match=f"{name} must be in"):
+                DiffusionConfig(**{name: bad})
+        assert getattr(DiffusionConfig(**{name: 2**31 - 1}), name) == 2**31 - 1
     assert DiffusionConfig(alpha=0.25, amplitude=1.0).coupling == 0.25
 
 

@@ -13,13 +13,14 @@ from conftest import KERNELS, box_array, frame_of, kernel_in_use
 from iss_reference import reference_iss, refine, runs_from_bits
 from rp_reference import reference_rp_update
 from cramsim.config import RunConfig
-from cramsim.errors import ConfigError
-from cramsim.grid import BinaryFrame
+from cramsim.errors import ConfigError, InputError
+from cramsim.grid import MAX_DIM, BinaryFrame
 from cramsim.projection import (
     DAC_MAX,
     Box,
     ProjectionConfig,
     RpConfig,
+    _fewest_to_trip,
     boxes_from_json,
     boxes_to_json,
     iss,
@@ -62,6 +63,27 @@ def test_line_voltage_monotone():
         bits = line_trips(counts, ProjectionConfig(dac_code=code)).astype(int)
         assert bits[0] == 0  # a line with no enabled 1s floats at zero
         assert np.all(np.diff(bits) >= 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(1e-3, 1e6, exclude_min=True, exclude_max=True))
+@example(lam=0.7)
+def test_fewest_to_trip_is_the_detector_at_every_dac_code(lam):
+    """A line trips iff it holds at least _fewest_to_trip enabled 1s, for every count a
+    frame line can hold."""
+    counts = np.arange(MAX_DIM + 1)
+    for code in range(DAC_MAX + 1):
+        cfg = ProjectionConfig(dac_code=code, line_charge_constant=lam)
+        fewest = _fewest_to_trip(cfg)
+        assert 1 <= fewest <= MAX_DIM + 1
+        assert np.array_equal(line_trips(counts, cfg), counts >= fewest)
+
+
+def test_search_rejects_a_frame_over_max_dim():
+    """_fewest_to_trip covers lines of up to MAX_DIM cells, so the search refuses a longer line."""
+    with pytest.raises(InputError, match="exceeds"):
+        iss(BinaryFrame(np.ones((1, MAX_DIM + 1), np.uint8)), RpConfig())
+    assert len(iss(BinaryFrame(np.ones((1, MAX_DIM), np.uint8)), RpConfig()).candidates) == 1
 
 
 def test_default_vref_detects_single_pixel():

@@ -100,6 +100,11 @@ def test_config_validation():
         SynthConfig(objects_min=0)
     with pytest.raises(ConfigError):
         SynthConfig(objects_min=5, objects_max=2)
+    # a frame holds no more objects than pixels
+    for bad in (320 * 240 + 1, 10**20):
+        with pytest.raises(ConfigError, match="objects_max must be <="):
+            SynthConfig(objects_max=bad)
+    assert SynthConfig(objects_max=320 * 240).objects_max == 320 * 240
     with pytest.raises(ConfigError):
         SynthConfig(side_min=20, side_max=10)
     with pytest.raises(ConfigError):
