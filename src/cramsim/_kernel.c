@@ -284,33 +284,20 @@ static long project(const int32_t *cand, long n, int a, Points *pts, long fewest
     return k;
 }
 
-/* Copy n candidates from in to out in the order of their entry key, which
- * is below keys; count needs keys + 1 entries. The sort is stable. */
-static void sort_by(const int32_t *in, long n, int key, long keys, int32_t *count, int32_t *out)
-{
-    memset(count, 0, (size_t)(keys + 1) * sizeof *count);
-    for (long i = 0; i < n; i++)
-        count[in[4 * i + key] + 1]++;
-    for (long v = 1; v < keys; v++)
-        count[v] += count[v - 1]; /* count[v]: where the first candidate with key v goes */
-    for (long i = 0; i < n; i++)
-        memcpy(out + 4 * count[in[4 * i + key]]++, in + 4 * i, 4 * sizeof *out);
-}
-
 /* The alternating-projection search of projection.iss over a rows x cols
  * C-contiguous frame, one byte per pixel, nonzero meaning set.
  *
  * A line trips when it holds at least fewest enabled 1s; fewest is at
  * least 1, as a line with none never trips. capacity is the number of set
  * pixels, and work has room for that many rows of 4 int32: it holds the set
- * pixels during the search, then the final candidates [r0, r1, c0, c1],
- * sorted by (r0, c0, r1, c1). info receives the iteration count, the region
- * projections made, then the cells each pass sensed, so it needs max_iters +
- * 2 entries. The other buffers grow to what each pass needs. Returns the
- * number of candidates found, or -1, with nothing of use in work and info,
- * if fewest is below 1, the frame is too large for 32-bit coordinates, the
- * pixels hold more than capacity set pixels, or a buffer cannot be
- * allocated.
+ * pixels during the search, then the final candidates [r0, r1, c0, c1] in
+ * pass order, candidate order then line order, as project makes them. info
+ * receives the iteration count, the region projections made, then the cells
+ * each pass sensed, so it needs max_iters + 2 entries. The other buffers
+ * grow to what each pass needs. Returns the number of candidates found, or
+ * -1, with nothing of use in work and info, if fewest is below 1, the frame
+ * is too large for 32-bit coordinates, the pixels hold more than capacity
+ * set pixels, or a buffer cannot be allocated.
  */
 long cramsim_search(const unsigned char *pixels, long rows, long cols, long fewest,
                     long max_iters, long capacity, int32_t *work, int64_t *info)
@@ -364,19 +351,8 @@ long cramsim_search(const unsigned char *pixels, long rows, long cols, long fewe
             break;
         prev = n;
     }
-    if (n > 0) {
-        /* Disjoint candidates never share a top-left corner, so sorting by
-         * c0, then stably by r0, sorts them by (r0, c0, r1, c1). The points
-         * are no longer needed, so the result goes to work. */
-        int32_t *count = room(&line, (size_t)((rows > cols ? rows : cols) + 1) * sizeof *count);
-        int32_t *by_c0 = room(&nxt, (size_t)n * 4 * sizeof *by_c0);
-        if (count == NULL || by_c0 == NULL) {
-            n = -1;
-        } else {
-            sort_by(cur.p, n, 2, cols, count, by_c0);
-            sort_by(by_c0, n, 0, rows, count, work);
-        }
-    }
+    if (n > 0) /* the points are no longer needed, so the result goes to work */
+        memcpy(work, cur.p, (size_t)n * 4 * sizeof *work);
     free(cur.p);
     free(nxt.p);
     free(shift.p);

@@ -162,10 +162,11 @@ def line_trips(n_ones: int | np.ndarray, cfg: ProjectionConfig) -> np.bool_ | np
 
 @dataclass
 class IssResult:
-    """The search's final candidates, one row [r0, r1, c0, c1] each, sorted by
-    (r0, c0, r1, c1), with its iteration count, trace and the cells each pass
-    sensed: projection_cells[0] is the full-axis projection, every later entry
-    the summed area of the candidates that pass projected."""
+    """The search's final candidates, one row [r0, r1, c0, c1] each in pass
+    order (candidate order, then line order, as the last pass made them),
+    with its iteration count, trace and the cells each pass sensed:
+    projection_cells[0] is the full-axis projection, every later entry the
+    summed area of the candidates that pass projected."""
 
     candidates: np.ndarray
     iterations: int
@@ -174,8 +175,8 @@ class IssResult:
 
     @property
     def boxes(self) -> list[Box]:
-        """The candidates as Box objects, built on each read."""
-        return [Box(*row) for row in self.candidates.tolist()]
+        """The candidates as Box objects sorted by (r0, c0, r1, c1), built on each read."""
+        return sorted((Box(*row) for row in self.candidates.tolist()), key=_sort_key)
 
 
 @functools.lru_cache(maxsize=16)
@@ -246,7 +247,7 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     call, outside the GIL, when this host can build it; otherwise
     :func:`_numpy_search` runs it, one batched numpy pass per iteration.
     Both count only the set pixels still inside a candidate and give the
-    same candidates, in the same order. A side over MAX_DIM raises InputError.
+    same candidates, in pass order. A side over MAX_DIM raises InputError.
     """
     pixels = frame.pixels
     if max(pixels.shape) > MAX_DIM:
@@ -261,8 +262,8 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
 def _compiled_search(pixels: np.ndarray, fewest: int, max_iters: int):
     """The search in one compiled call, or None without the kernel or if it declined the frame.
 
-    Returns (sorted candidates, iterations, region projections, cells per
-    pass). The kernel keeps the set pixels in work, one row each, and then
+    Returns (candidates in pass order, iterations, region projections, cells
+    per pass). The kernel keeps the set pixels in work, one row each, and then
     writes its candidates there: candidates are disjoint and each holds a
     set pixel, so there are never more of them than rows.
 
@@ -289,8 +290,8 @@ def _compiled_search(pixels: np.ndarray, fewest: int, max_iters: int):
 def _numpy_search(pixels: np.ndarray, fewest: int, max_iters: int):
     """The search as one batched :func:`_project` pass per iteration.
 
-    Returns (sorted candidates, iterations, region projections, cells per
-    pass). Candidates stay an (n, 4) array [r0, r1, c0, c1] throughout.
+    Returns (candidates in pass order, iterations, region projections, cells
+    per pass). Candidates stay an (n, 4) array [r0, r1, c0, c1] throughout.
     """
     height, width = pixels.shape
     points = np.array(np.divmod(np.flatnonzero(pixels), width))
@@ -311,12 +312,9 @@ def _numpy_search(pixels: np.ndarray, fewest: int, max_iters: int):
         prev_count = len(candidates)
 
     cells = [int((p[:, 1] - p[:, 0] + 1) @ (p[:, 3] - p[:, 2] + 1)) for p in passes]
-    # disjoint candidates never share a top-left corner, so sorting by
-    # (r0, c0) alone sorts them by (r0, c0, r1, c1)
-    order = np.argsort(candidates[:, 0] * width + candidates[:, 2])
     # passes[0] is the full-axis projection; a later pass makes one region
     # projection per candidate
-    return candidates[order], iterations, sum(map(len, passes)) - 1, cells
+    return candidates, iterations, sum(map(len, passes)) - 1, cells
 
 
 def rp_update(new_boxes: np.ndarray, cfg: RpConfig) -> list[Box]:

@@ -26,7 +26,11 @@ class SynthConfig:
 
     Defaults describe the full-size sensor frame, with object sides scaled
     to cover roughly 5% of it. band_min is the narrowest all-zero
-    separation between object groups.
+    separation between object groups. Each frame draws its object count
+    from objects_min..objects_max, an upper bound on what it holds: the
+    guillotine placement stops splitting a region once one of its sides
+    cannot hold two side_min rectangles band_min apart, and places one
+    rectangle there.
     """
 
     width: int = DEFAULT_WIDTH

@@ -1,8 +1,10 @@
 """Plain per-candidate projection search, the reference for `projection.iss`.
 
 Every candidate is refined by its own call, one block sum and one run split
-at a time. The batched search must give the same candidates, iteration count,
-op counts and cells sensed per pass, here summed one candidate at a time.
+at a time, and the refined candidates keep the order of their parents, then
+of their runs. The batched search must give the same candidates in that pass
+order, iteration count, op counts and cells sensed per pass, here summed one
+candidate at a time.
 """
 
 from __future__ import annotations
@@ -72,6 +74,5 @@ def reference_iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
             break
         prev_count = len(candidates)
 
-    boxes = sorted(candidates, key=lambda b: (b.r0, b.c0, b.r1, b.c1))
     trace = CycleTrace({FULL_AXIS_PROJECTION: 1, REGION_PROJECTION: regions})
-    return IssResult(box_array(boxes), iterations, trace, cells)
+    return IssResult(box_array(candidates), iterations, trace, cells)

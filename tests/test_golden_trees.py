@@ -1,7 +1,8 @@
 """The `cram-sim` output trees of one fixed session, pinned by sha256 per file.
 
 The session is criterion 8's 64x64 one, a restore at 3 pulses with a ring
-of 2, and `propose`, raw and restored, on three noisy 320x240 frames. A
+of 2, `propose`, raw and restored, on three noisy 320x240 frames, and an
+`eval` of the unconsolidated search boxes on both corpora. A
 refactor must leave every file byte-identical, under every kernel and
 worker count. After a deliberate change of the outputs, record the hashes
 again with `PYTHONPATH=src python tests/test_golden_trees.py`.
@@ -37,6 +38,7 @@ def session_hashes(root: Path) -> dict[str, str]:
         ["propose", small, "--out", str(root / "boxes")],
         ["eval", small, "--out", str(root / "scores"),
          "--eval.sweep_amplitudes", "0.5,1.0", "--eval.sweep_substeps", "4,8"],
+        ["eval", small, "--out", str(root / "scores_raw"), "--pipeline.consolidate", "false"],
         ["probe", "--out", str(root / "probe"), "--frame.width", "64", "--frame.height", "64"],
         ["restore", small, "--out", str(root / "restored_p3_r2"), "--emit-analog",
          "--diffusion.pulses", "3", "--frame.ring", "2"],
@@ -44,6 +46,8 @@ def session_hashes(root: Path) -> dict[str, str]:
         ["propose", noisy, "--out", str(root / "noisy_boxes")],
         ["propose", noisy, "--out", str(root / "noisy_boxes_restored"),
          "--propose.restore", "true"],
+        ["eval", noisy, "--out", str(root / "noisy_scores_raw"),
+         "--pipeline.consolidate", "false"],
     ]
     for argv in runs:
         assert main(argv) == 0, argv

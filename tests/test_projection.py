@@ -15,6 +15,7 @@ from rp_reference import reference_rp_update
 from cramsim.config import RunConfig
 from cramsim.errors import ConfigError, InputError
 from cramsim.grid import MAX_DIM, BinaryFrame
+from cramsim.oracle import EvalPipeline
 from cramsim.projection import (
     DAC_MAX,
     Box,
@@ -388,6 +389,24 @@ def test_iss_ignores_ones_on_lines_that_did_not_trip():
     assert res.projection_cells == [4, 2]
     assert len(res.projection_cells) == res.iterations
     assert_same_search(f, cfg)
+
+
+def test_search_returns_candidates_in_pass_order():
+    """A staircase: the column pass finds the lower-left step first, so the
+    candidates keep that order, and only the boxes read from them are sorted."""
+    pixels = np.zeros((10, 15), dtype=np.uint8)
+    pixels[0:5, 10:15] = 1
+    pixels[5:10, 0:5] = 1
+    frame = BinaryFrame(pixels)
+    in_pass_order = [[5, 9, 0, 4], [0, 4, 10, 14]]
+    boxes = [Box(0, 4, 10, 14), Box(5, 9, 0, 4)]
+    assert reference_iss(frame, RpConfig()).candidates.tolist() == in_pass_order
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            res = iss(frame, RpConfig())
+            assert res.candidates.tolist() == in_pass_order
+            assert res.boxes == boxes
+            assert EvalPipeline(restore=False, consolidate=False).propose(frame) == boxes
 
 
 def test_batched_search_matches_reference_on_noisy_corpus():

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from cramsim.cli import main
 from cramsim.errors import ConfigError
 from cramsim.oracle import ccl
+from cramsim.projection import boxes_from_json
 from cramsim.synth import Scene, SynthConfig, generate_corpus, generate_scene
 
 
@@ -44,6 +46,21 @@ def test_boxes_in_bounds_sizes_and_counts():
             assert cfg.side_min <= b.width <= cfg.side_max
     # splitting is usually feasible, so multi-object scenes dominate
     assert sum(c > 1 for c in counts) > 80
+
+
+def test_object_count_is_an_upper_bound(tmp_path):
+    """4096 rectangles of side 8 do not fit a 64x64 frame: synth places as many
+    as the guillotine splits leave room for, and succeeds."""
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out), "--frame.width", "64", "--frame.height", "64",
+                 "--synth.side_min", "8", "--synth.side_max", "16",
+                 "--synth.objects_min", "4096", "--synth.objects_max", "4096",
+                 "--synth.frames", "1"]) == 0
+    boxes = boxes_from_json((out / "frame_00000.gt.json").read_text())
+    assert 1 <= len(boxes) < 4096
+    for b in boxes:
+        assert 0 <= b.r0 <= b.r1 < 64 and 0 <= b.c0 <= b.c1 < 64
+        assert 8 <= b.height <= 16 and 8 <= b.width <= 16
 
 
 def test_boxes_pairwise_separated_by_band():
