@@ -1,8 +1,8 @@
 /* The package's compiled kernels, built into one shared library by _ckernel.py.
  *
- * cramsim_restore runs a whole restoration (diffusion substeps, with the
- * re-digitization between pulses), and cramsim_search the alternating-
- * projection region search: one call per pipeline stage. Each takes only
+ * cramsim_restore runs a whole restoration (each pulse loads bits, diffuses
+ * and senses them again), and cramsim_search the alternating-projection
+ * region search: one call per pipeline stage. Each takes only
  * scalars and the caller's buffers (the search's line detector is one trip
  * count), and gives exactly the results of its numpy kernel, which stays as
  * the fallback for hosts without a compiler.
@@ -54,10 +54,10 @@ BODY void substeps_body(double *restrict cur, double *restrict nxt, long rows, l
     }
 }
 
-/* Set every grid cell of a stencil buffer: 0 on the ring, and the frame's h x w
- * cells from pixels, or, with pixels NULL, from the buffer's own cells
- * thresholded at vth. Each grid row is written once; the border stays 0. */
-BODY void fill(double *buf, const unsigned char *pixels, long h, long w, long ring, double vth)
+/* Load a bit plane into a stencil buffer: the frame's h x w cells from bits,
+ * one byte each, inside a ring of zeros. Each grid row is written once; the
+ * border stays 0. */
+BODY void fill(double *buf, const unsigned char *bits, long h, long w, long ring)
 {
     const long cols = w + 2 * ring, wp = cols + 2;
     for (long r = 0; r < h + 2 * ring; r++) {
@@ -68,16 +68,10 @@ BODY void fill(double *buf, const unsigned char *pixels, long h, long w, long ri
             continue;
         }
         memset(g, 0, (size_t)ring * sizeof *g);
-        double *cell = g + ring;
-        if (pixels != NULL) {
-            const unsigned char *px = pixels + i * w;
-            for (long j = 0; j < w; j++)
-                cell[j] = px[j];
-        } else {
-            for (long j = 0; j < w; j++)
-                cell[j] = cell[j] > vth;
-        }
-        memset(cell + w, 0, (size_t)ring * sizeof *g);
+        const unsigned char *px = bits + i * w;
+        for (long j = 0; j < w; j++)
+            g[ring + j] = px[j];
+        memset(g + ring + w, 0, (size_t)ring * sizeof *g);
     }
 }
 
@@ -111,8 +105,8 @@ BODY long restore_body(const unsigned char *pixels, long h, long w, long ring, d
 {
     const long rows = h + 2 * ring, cols = w + 2 * ring, wp = cols + 2;
     double *const first = cur;
-    fill(cur, pixels, h, w, ring, vth);
     for (long p = 0; p < pulses; p++) {
+        fill(cur, p == 0 ? pixels : bits, h, w, ring);
         if (c > 0.0) {
             substeps_body(cur, nxt, rows, cols, c, substeps);
             if (substeps % 2) {
@@ -121,11 +115,9 @@ BODY long restore_body(const unsigned char *pixels, long h, long w, long ring, d
                 nxt = t;
             }
         }
-        if (p < pulses - 1)
-            fill(cur, NULL, h, w, ring, vth);
+        for (long i = 0; i < h; i++)
+            threshold(cur + (ring + 1 + i) * wp + ring + 1, bits + i * w, w, vth);
     }
-    for (long i = 0; i < h; i++)
-        threshold(cur + (ring + 1 + i) * wp + ring + 1, bits + i * w, w, vth);
     return cur != first;
 }
 
@@ -171,13 +163,13 @@ long cramsim_variants(void)
  * number variant.
  *
  * cur and nxt are the buffers of a _Stencil of (h + 2 ring) x (w + 2 ring)
- * cells, both with an all-zero border. The h x w frame pixels (one byte
- * per pixel, each 0 or 1) go into cur inside a ring of zeros. Then come
- * pulses pulses of substeps substeps at coupling c (none if c is 0); between
- * pulses the frame's cells are thresholded at vth back to bits and the ring
- * zeroed. Last, bits receives the frame's cells thresholded at vth, one byte
- * each. nxt is only ever written by a substep, which sets every grid cell of
- * it. Returns 1 if the final analog grid is in nxt, else 0 (it is in cur).
+ * cells, both with an all-zero border. Each of pulses pulses loads a bit
+ * plane into cur inside a ring of zeros (first the h x w pixels, one byte
+ * each, 0 or 1, then the bits the pulse before sensed), runs substeps
+ * substeps at coupling c (none if c is 0), and senses the frame's cells
+ * into bits, 1 byte each, set where the voltage exceeds vth. nxt is only
+ * ever written by a substep, which sets every grid cell of it. Returns 1 if
+ * the last pulse's analog grid is in nxt, else 0 (it is in cur).
  */
 long cramsim_restore(long variant, const unsigned char *pixels, long h, long w, long ring,
                      double *cur, double *nxt, double c, long substeps, long pulses, double vth,
@@ -287,22 +279,27 @@ static long project(const int32_t *cand, long n, int a, Points *pts, long fewest
 /* The alternating-projection search of projection.iss over a rows x cols
  * C-contiguous frame, one byte per pixel, nonzero meaning set.
  *
+ * Starting from the whole frame, each pass projects every candidate onto
+ * rows, then columns, and so on, until no candidate is left, max_iters
+ * passes have run, or a pass after the first keeps its candidate count.
  * A line trips when it holds at least fewest enabled 1s; fewest is at
  * least 1, as a line with none never trips. capacity is the number of set
  * pixels, and work has room for that many rows of 4 int32: it holds the set
  * pixels during the search, then the final candidates [r0, r1, c0, c1] in
  * pass order, candidate order then line order, as project makes them. info
- * receives the iteration count, the region projections made, then the cells
- * each pass sensed, so it needs max_iters + 2 entries. The other buffers
- * grow to what each pass needs. Returns the number of candidates found, or
- * -1, with nothing of use in work and info, if fewest is below 1, the frame
- * is too large for 32-bit coordinates, the pixels hold more than capacity
- * set pixels, or a buffer cannot be allocated.
+ * receives the pass count, the region projections made (every candidate
+ * projected but the whole frame), then the cells each pass sensed, so it
+ * needs max_iters + 2 entries. The other buffers grow to what each pass
+ * needs. Returns the number of candidates found, or -1, with nothing of use
+ * in work and info, if fewest or max_iters is below 1, the frame is too
+ * large for 32-bit coordinates, the pixels hold more than capacity set
+ * pixels, or a buffer cannot be allocated.
  */
 long cramsim_search(const unsigned char *pixels, long rows, long cols, long fewest,
                     long max_iters, long capacity, int32_t *work, int64_t *info)
 {
-    if (fewest < 1 || rows < 1 || cols < 1 || capacity < 0 || rows > INT32_MAX / cols)
+    if (fewest < 1 || max_iters < 1 || rows < 1 || cols < 1 || capacity < 0
+        || rows > INT32_MAX / cols)
         return -1;
     Points pts = {work, work + capacity, work + 2 * capacity, 0};
     for (long r = 0; r < rows; r++) {
@@ -329,27 +326,26 @@ long cramsim_search(const unsigned char *pixels, long rows, long cols, long fewe
     }
 
     Scratch cur = {0}, nxt = {0}, shift = {0}, line = {0};
-    /* iteration 1 projects every row of the whole frame */
     const int32_t whole[4] = {0, (int32_t)rows - 1, 0, (int32_t)cols - 1};
-    long n = project(whole, 1, 0, &pts, fewest, &shift, &line, &cur);
-    long iterations = 1, regions = 0, prev = n;
-    info[2] = (int64_t)rows * cols;
+    if (room(&cur, sizeof whole) == NULL)
+        return -1;
+    memcpy(cur.p, whole, sizeof whole);
+    long n = 1, iterations = 0, projected = 0;
     while (n > 0 && iterations < max_iters) {
-        const int a = iterations % 2 == 1 ? 2 : 0;
+        const int a = iterations % 2 == 1 ? 2 : 0; /* rows first */
         const int32_t *c = cur.p;
         int64_t cells = 0;
         for (long i = 0; i < n; i++)
             cells += (int64_t)(c[4 * i + 1] - c[4 * i] + 1) * (c[4 * i + 3] - c[4 * i + 2] + 1);
-        info[2 + iterations] = cells;
-        iterations++;
-        regions += n;
-        n = project(c, n, a, &pts, fewest, &shift, &line, &nxt);
+        info[2 + iterations++] = cells;
+        projected += n;
+        const long found = project(c, n, a, &pts, fewest, &shift, &line, &nxt);
         const Scratch t = cur;
         cur = nxt;
         nxt = t;
-        if (n == prev)
+        if (found == n && iterations > 1)
             break;
-        prev = n;
+        n = found;
     }
     if (n > 0) /* the points are no longer needed, so the result goes to work */
         memcpy(work, cur.p, (size_t)n * 4 * sizeof *work);
@@ -358,6 +354,6 @@ long cramsim_search(const unsigned char *pixels, long rows, long cols, long fewe
     free(shift.p);
     free(line.p);
     info[0] = iterations;
-    info[1] = regions;
+    info[1] = projected - 1; /* the whole frame's is the full-axis projection */
     return n;
 }

@@ -2,18 +2,19 @@
 
 With diffusion enabled, the array behaves as a 2-D RC network: every cell
 exchanges charge with its 4-neighbors each substep. Pulse width maps to
-substeps per pulse, pulse amplitude scales the per-substep coupling, and
-re-digitization between pulses models sensing the analog node back into a
-stored bit. The outermost edge of the dummy ring reflects: no charge leaves
-the simulated array, so total charge is conserved.
+substeps per pulse, and pulse amplitude scales the per-substep coupling.
+The outermost edge of the dummy ring reflects: no charge leaves the
+simulated array, so total charge is conserved.
 
-A frame is restored on its thread's `_Stencil`. Where the compiled kernels
-load (`_ckernel`), one call per frame writes the pixels into it, runs every
-pulse with the re-digitization between them, and thresholds the result.
-That call runs in the AVX-512F build where this CPU has it and in the
-baseline build otherwise, chosen once per process from what the library
-reports. The numpy steps of `_Stencil` are the fallback and give the same
-bits. `diffuse_substep` and the probe run the numpy kernel.
+A frame is restored on its thread's `_Stencil`, and every pulse runs the
+same three steps: load a bit plane inside a ring of zeros (the frame's
+pixels, then the bits the pulse before sensed), diffuse, and sense the
+cells back into stored bits, as the inverters do. Where the compiled
+kernels load (`_ckernel`), one call per frame runs the whole train, in the
+AVX-512F build where this CPU has it and in the baseline build otherwise,
+chosen once per process from what the library reports; the same loop over
+`_Stencil`'s numpy steps is the fallback, with the same bits.
+`diffuse_substep` and the probe run the numpy kernel.
 """
 
 from __future__ import annotations
@@ -151,14 +152,13 @@ class _Stencil:
         return AnalogState(self.grid.copy(), ring)
 
     def pulse_train(self, frame: BinaryFrame, cfg: DiffusionConfig) -> np.ndarray:
-        """Run cfg's pulse train on the frame; returns its cells thresholded at cfg.vth.
+        """Run cfg's pulse train on the frame; returns the last pulse's bits.
 
-        The frame goes into the grid inside a ring of zeros. Between pulses
-        the interior is thresholded back to bits and the ring zeroed, exactly
-        as a store-and-restart would. amplitude == 0 means no conduction: the
-        embedded state passes through. The final pulse's analog grid stays
-        in the stencil. The compiled kernel (`_ckernel`) does all of
-        it in one call; the numpy steps below are the fallback.
+        Each pulse loads a bit plane inside a ring of zeros, the frame's
+        pixels and then the bits the pulse before sensed, diffuses it (not at
+        all if amplitude == 0) and senses its cells at cfg.vth; the last
+        pulse's charges stay in the stencil. The compiled kernel
+        (`_ckernel`) runs the train in one call, the numpy loop below else.
         """
         ring, vth, c = cfg.ring, cfg.vth, cfg.coupling
         kernels = _ckernel.kernels()
@@ -169,22 +169,18 @@ class _Stencil:
                                vth, bits.ctypes.data):
                 self._cur, self._nxt = self._nxt, self._cur
             return bits
-        self.load(frame.pixels, ring)
-        for pulse in range(cfg.pulses):
+        bits = frame.pixels
+        for _ in range(cfg.pulses):
+            self.load(bits, ring)
             if c > 0.0:
                 self.run(c, cfg.substeps_per_pulse)
-            if pulse < cfg.pulses - 1:
-                self.redigitize(ring, vth)
-        return (_interior(self.grid, ring) > vth).astype(np.uint8)
+            bits = (_interior(self.grid, ring) > vth).astype(np.uint8)
+        return bits
 
     def load(self, pixels: np.ndarray, ring: int) -> None:
         """Write the pixels inside a ring of zeros, replacing every voltage."""
         self._cur.fill(0.0)
         _interior(self.grid, ring)[...] = pixels
-
-    def redigitize(self, ring: int, vth: float) -> None:
-        """Threshold the interior back to bits and zero the ring, like a re-embed."""
-        self.load(_interior(self.grid, ring) > vth, ring)
 
 
 _workspace = threading.local()
@@ -242,7 +238,7 @@ def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig) -> AnalogState:
 
 
 def restore_image(frame: BinaryFrame, cfg: DiffusionConfig) -> BinaryFrame:
-    """Full restoration: pulse train, then inverter re-digitization at cfg.vth.
+    """Full restoration: the bits the pulse train's last pulse senses at cfg.vth.
 
     At the default config this removes every 4-isolated 1-pixel and fills any
     fully enclosed single-pixel hole in a solid block of 5x5 or larger.

@@ -10,6 +10,7 @@ as output-only snapshots.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,6 +99,12 @@ class AnalogState:
 
 # --- PBM (P4) binary frames -------------------------------------------------
 
+# Header tokens are separated by whitespace and by '#' comments, each running
+# to the end of its line.
+_SEPARATORS = re.compile(rb"(?:\s|#[^\n]*\n?)*")
+_TOKEN = re.compile(rb"\S*")
+
+
 def frame_to_bytes(frame: BinaryFrame) -> bytes:
     """Serialize a frame as binary PBM (P4): 1-bits packed MSB-first per row."""
     if frame.width > MAX_DIM or frame.height > MAX_DIM:
@@ -110,44 +117,28 @@ def frame_to_bytes(frame: BinaryFrame) -> bytes:
 def load_frame(path: str | Path) -> BinaryFrame:
     """Read a binary PBM (P4) file; errors name the failing byte offset."""
     data = Path(path).read_bytes()
-    pos = 0
-
-    def skip_separators(pos: int) -> int:
-        # whitespace and '#' comment lines separate header tokens
-        while pos < len(data):
-            b = data[pos:pos + 1]
-            if b.isspace():
-                pos += 1
-            elif b == b"#":
-                nl = data.find(b"\n", pos)
-                pos = len(data) if nl < 0 else nl + 1
-            else:
-                break
-        return pos
 
     def read_token(pos: int) -> tuple[bytes, int]:
-        pos = skip_separators(pos)
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
+        start = _SEPARATORS.match(data, pos).end()
+        pos = _TOKEN.match(data, start).end()
         if start == pos:
             raise FrameFormatError("unexpected end of header", offset=start)
         return data[start:pos], pos
 
-    magic, pos = read_token(pos)
+    magic, pos = read_token(0)
     if magic != b"P4":
         raise FrameFormatError(f"not a P4 bitmap (magic {magic!r})", offset=0)
     dims = []
     for name in ("width", "height"):
         tok, pos = read_token(pos)
-        try:
-            value = int(tok)
-        except ValueError:
-            raise FrameFormatError(f"bad {name} token {tok!r}", offset=pos - len(tok))
+        start = pos - len(tok)
+        if not tok.isdigit():  # ASCII decimal digits only: no sign, no underscores
+            raise FrameFormatError(f"bad {name} token {tok!r}", offset=start)
+        value = int(tok)
         if value < 1:
-            raise FrameFormatError(f"{name} must be >= 1, got {value}", offset=pos - len(tok))
+            raise FrameFormatError(f"{name} must be >= 1, got {value}", offset=start)
         if value > MAX_DIM:
-            raise FrameFormatError(f"{name} {value} exceeds {MAX_DIM}", offset=pos - len(tok))
+            raise FrameFormatError(f"{name} {value} exceeds {MAX_DIM}", offset=start)
         dims.append(value)
     width, height = dims
     if pos >= len(data):

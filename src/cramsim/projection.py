@@ -239,9 +239,9 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     only lines inside the candidate's extent on the projected axis are
     sensed, masked by its extent on the other axis, and each detected run
     replaces that extent, so multiple runs split the candidate. The search
-    stops once the candidate count matches the previous iteration's count
-    (a row and a column pass have then both completed), when no candidates
-    remain, or at the max_iters cap.
+    stops on a pass after the first that keeps its candidate count (a row
+    and a column pass have then both completed), when no candidates remain,
+    or at the max_iters cap.
 
     The compiled kernel (`_ckernel`) runs the whole search in one
     call, outside the GIL, when this host can build it; otherwise
@@ -290,31 +290,28 @@ def _compiled_search(pixels: np.ndarray, fewest: int, max_iters: int):
 def _numpy_search(pixels: np.ndarray, fewest: int, max_iters: int):
     """The search as one batched :func:`_project` pass per iteration.
 
-    Returns (candidates in pass order, iterations, region projections, cells
-    per pass). Candidates stay an (n, 4) array [r0, r1, c0, c1] throughout.
+    Starting from the whole frame, the passes project onto rows, then
+    columns, and so on, until no candidate is left, max_iters passes have
+    run, or a pass after the first keeps its candidate count. Returns
+    (candidates in pass order, iterations, region projections, cells per
+    pass). Candidates stay an (n, 4) array [r0, r1, c0, c1] throughout.
     """
     height, width = pixels.shape
     points = np.array(np.divmod(np.flatnonzero(pixels), width))
-    whole = np.array([[0, height - 1, 0, width - 1]])
-    candidates, points, owner = _project(
-        whole, points, np.zeros_like(points[0]), 0, fewest)
-    passes = [whole]  # the candidates each projection sensed
-    iterations = 1
-    prev_count = len(candidates)
-
-    while len(candidates) and iterations < max_iters:
-        a = 2 if iterations % 2 == 1 else 0
-        iterations += 1
+    owner = np.zeros_like(points[0])
+    candidates = np.array([[0, height - 1, 0, width - 1]])
+    passes = []  # the candidates each pass projected
+    while len(candidates) and len(passes) < max_iters:
         passes.append(candidates)
+        a = 0 if len(passes) % 2 else 2
         candidates, points, owner = _project(candidates, points, owner, a, fewest)
-        if len(candidates) == prev_count:
+        if len(passes) > 1 and len(candidates) == len(passes[-1]):
             break
-        prev_count = len(candidates)
 
     cells = [int((p[:, 1] - p[:, 0] + 1) @ (p[:, 3] - p[:, 2] + 1)) for p in passes]
-    # passes[0] is the full-axis projection; a later pass makes one region
-    # projection per candidate
-    return candidates, iterations, sum(map(len, passes)) - 1, cells
+    # the whole frame's pass is the full-axis projection; every later pass
+    # makes one region projection per candidate
+    return candidates, len(passes), sum(map(len, passes)) - 1, cells
 
 
 def rp_update(new_boxes: np.ndarray, cfg: RpConfig) -> list[Box]:

@@ -90,14 +90,8 @@ def _place(rng: np.random.Generator, r0: int, r1: int, c0: int, c1: int,
         return [Box(rr, rr + h - 1, cc, cc + w - 1)]
 
     n_first = int(rng.integers(1, n))
-    # split on the axis with room for side_min on both sides of the band
-    axis_choices = []
-    if rows >= 2 * cfg.side_min + cfg.band_min:
-        axis_choices.append("rows")
-    if cols >= 2 * cfg.side_min + cfg.band_min:
-        axis_choices.append("cols")
-    axis = axis_choices[int(rng.integers(0, len(axis_choices)))]
-    if axis == "rows":
+    # both axes have room for side_min on both sides of the band: draw one, 0 cutting the rows
+    if int(rng.integers(0, 2)) == 0:
         cut = int(rng.integers(r0 + cfg.side_min, r1 - cfg.side_min - cfg.band_min + 2))
         first = _place(rng, r0, cut - 1, c0, c1, n_first, cfg)
         second = _place(rng, cut + cfg.band_min, r1, c0, c1, n - n_first, cfg)

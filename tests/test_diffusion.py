@@ -1,5 +1,6 @@
 """Charge-sharing dynamics: one independent reference model plus frozen cases."""
 
+import itertools
 import sys
 from dataclasses import replace
 
@@ -448,14 +449,19 @@ def test_zero_amplitude_restore_is_identity():
 
 
 def test_two_pulses_with_redigitize_compose():
-    """pulses=2 with re-digitizing equals running the whole pass twice."""
+    """k pulses equal k - 1 pulses, then one more pulse on the restored frame:
+    the same bits, and the same charges left in the stencil. The odd
+    substep count leaves each pulse's charges in the other buffer."""
     rng = np.random.default_rng(5)
     f = BinaryFrame((rng.random((20, 20)) < 0.25).astype(np.uint8))
-    once = DiffusionConfig(pulses=1)
-    twice = DiffusionConfig(pulses=2)
-    for kernel in KERNELS:
-        with kernel_in_use(kernel):
-            assert restore_image(f, twice) == restore_image(restore_image(f, once), once)
+    for pulses, ring, substeps in itertools.product((2, 3), (0, 2), (3, 8)):
+        cfg = DiffusionConfig(substeps_per_pulse=substeps, pulses=pulses, ring=ring)
+        fewer, once = (replace(cfg, pulses=n) for n in (pulses - 1, 1))
+        for kernel in KERNELS:
+            with kernel_in_use(kernel):
+                before = restore_image(f, fewer)
+                assert restore_image(f, cfg) == restore_image(before, once), cfg
+                assert_same_bits(apply_pulses(f, cfg).volts, apply_pulses(before, once).volts)
 
 
 # --- restoration behavior at the default operating point

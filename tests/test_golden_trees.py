@@ -1,10 +1,11 @@
 """The `cram-sim` output trees of one fixed session, pinned by sha256 per file.
 
 The session is criterion 8's 64x64 one, a restore at 3 pulses with a ring
-of 2, `propose`, raw and restored, on three noisy 320x240 frames, and an
-`eval` of the unconsolidated search boxes on both corpora. A
-refactor must leave every file byte-identical, under every kernel and
-worker count. After a deliberate change of the outputs, record the hashes
+of 2, a restore at 2 pulses of 3 substeps with no ring (an odd count, so
+each pulse ends in the other buffer), `propose`, raw and restored, on three
+noisy 320x240 frames, and an `eval` of the unconsolidated search boxes on
+both corpora. A refactor must leave every file byte-identical, under every
+kernel and worker count. After a deliberate change of the outputs, record the hashes
 again with `PYTHONPATH=src python tests/test_golden_trees.py`.
 """
 
@@ -42,6 +43,8 @@ def session_hashes(root: Path) -> dict[str, str]:
         ["probe", "--out", str(root / "probe"), "--frame.width", "64", "--frame.height", "64"],
         ["restore", small, "--out", str(root / "restored_p3_r2"), "--emit-analog",
          "--diffusion.pulses", "3", "--frame.ring", "2"],
+        ["restore", small, "--out", str(root / "restored_p2_s3_r0"), "--emit-analog",
+         "--diffusion.pulses", "2", "--diffusion.substeps_per_pulse", "3", "--frame.ring", "0"],
         ["synth", "--out", noisy, *NOISY],
         ["propose", noisy, "--out", str(root / "noisy_boxes")],
         ["propose", noisy, "--out", str(root / "noisy_boxes_restored"),

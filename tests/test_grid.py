@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffusion_reference import embed
+from cramsim.cli import main
 from cramsim.errors import FrameFormatError
 from cramsim.grid import AnalogState, BinaryFrame, analog_to_bytes, frame_to_bytes, load_frame
 
@@ -135,6 +136,20 @@ def test_pbm_rejects_silly_dimensions(scratch):
     path.write_bytes(b"P4\n5000 4\n" + b"\x00" * 4000)
     with pytest.raises(FrameFormatError):
         load_frame(path)
+
+
+@pytest.mark.parametrize("header, error", [
+    (b"P4\n1_0 2\n", "bad width token b'1_0' (byte offset 3)"),
+    (b"P4\n8 +2\n", "bad height token b'+2' (byte offset 5)"),
+], ids=["underscore", "sign"])
+def test_pbm_dimensions_are_ascii_decimal(scratch, header, error):
+    """int() would read both tokens; the header allows only the digits 0-9."""
+    path = scratch / "dims.pbm"
+    path.write_bytes(header + b"\x00" * 4)
+    with pytest.raises(FrameFormatError) as exc:
+        load_frame(path)
+    assert str(exc.value) == error
+    assert main(["propose", str(path), "--out", str(scratch / "dims_boxes")]) == 1
 
 
 # --- PGM snapshots

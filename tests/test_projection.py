@@ -393,18 +393,31 @@ def test_iss_ignores_ones_on_lines_that_did_not_trip():
 
 def test_search_returns_candidates_in_pass_order():
     """A staircase: the column pass finds the lower-left step first, so the
-    candidates keep that order, and only the boxes read from them are sorted."""
+    candidates keep that order, and only the boxes read from them are sorted.
+
+    The whole-frame row pass finds one candidate, and the search must go on
+    past it: the column pass splits it in two and the next row pass keeps
+    two, so the search stops after three passes, of which the last two are
+    region projections (one candidate, then two).
+    """
     pixels = np.zeros((10, 15), dtype=np.uint8)
     pixels[0:5, 10:15] = 1
     pixels[5:10, 0:5] = 1
     frame = BinaryFrame(pixels)
     in_pass_order = [[5, 9, 0, 4], [0, 4, 10, 14]]
     boxes = [Box(0, 4, 10, 14), Box(5, 9, 0, 4)]
-    assert reference_iss(frame, RpConfig()).candidates.tolist() == in_pass_order
+
+    def check(res):
+        assert res.candidates.tolist() == in_pass_order
+        assert res.iterations == 3
+        assert res.trace.total(REGION_PROJECTION) == 3
+        assert res.projection_cells == [150, 150, 100]
+
+    check(reference_iss(frame, RpConfig()))
     for kernel in KERNELS:
         with kernel_in_use(kernel):
             res = iss(frame, RpConfig())
-            assert res.candidates.tolist() == in_pass_order
+            check(res)
             assert res.boxes == boxes
             assert EvalPipeline(restore=False, consolidate=False).propose(frame) == boxes
 
