@@ -157,8 +157,8 @@ class _Stencil:
         Each pulse loads a bit plane inside a ring of zeros, the frame's
         pixels and then the bits the pulse before sensed, diffuses it (not at
         all if amplitude == 0) and senses its cells at cfg.vth; the last
-        pulse's charges stay in the stencil. The compiled kernel
-        (`_ckernel`) runs the train in one call, the numpy loop below else.
+        pulse's charges stay in the stencil. The compiled kernel (`_ckernel`)
+        runs the train in one call; without it, the numpy loop below does.
         """
         ring, vth, c = cfg.ring, cfg.vth, cfg.coupling
         kernels = _ckernel.kernels()

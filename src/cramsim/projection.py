@@ -303,7 +303,7 @@ def _numpy_search(pixels: np.ndarray, fewest: int, max_iters: int):
     passes = []  # the candidates each pass projected
     while len(candidates) and len(passes) < max_iters:
         passes.append(candidates)
-        a = 0 if len(passes) % 2 else 2
+        a = 0 if len(passes) % 2 else 2  # rows first
         candidates, points, owner = _project(candidates, points, owner, a, fewest)
         if len(passes) > 1 and len(candidates) == len(passes[-1]):
             break
