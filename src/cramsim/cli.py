@@ -10,8 +10,8 @@ one ``cram-sim: error:`` line with exit code 2. Outputs go under ``--out``
 command that fails its checks leaves none; an empty ``--out`` or one that
 names an existing non-directory fails before any work. Files are written
 via a temp-and-rename so an interrupted run never leaves partial output.
-Worker-thread count comes from the CRAM_SIM_THREADS environment variable;
-unset or 0 means one worker per CPU.
+``propose`` and ``eval`` run each frame through ``oracle.EvalPipeline.propose``.
+Worker-thread count comes from CRAM_SIM_THREADS; unset or 0 means one per CPU.
 """
 
 from __future__ import annotations
@@ -30,14 +30,12 @@ from .diffusion import (
     apply_pulses,
     blank_frame_detect,
     probe_diffusion_speed,
-    restore_image,
     threshold_restore,
 )
 from .errors import ConfigError, CramSimError, InputError
 from .grid import analog_to_bytes, frame_to_bytes, load_frame
-from .oracle import FrameSample, _pool_map, evaluate_sweep
-from .projection import boxes_from_json, boxes_to_json, region_propose
-from .timing import cost_report
+from .oracle import EvalPipeline, FrameSample, _pool_map, evaluate_sweep
+from .projection import boxes_from_json, boxes_to_json
 
 
 def worker_count() -> int:
@@ -174,19 +172,13 @@ def cmd_restore(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_propose(cfg: RunConfig, args: argparse.Namespace) -> int:
     paths = _collect_pbm_inputs(args.inputs)
-    dcfg = cfg.diffusion_config()
-    rp = cfg.rp_config()
-    substeps = dcfg.pulses * dcfg.substeps_per_pulse if cfg.propose_restore else 0
+    pipeline = EvalPipeline(cfg.diffusion_config(), cfg.rp_config(), restore=cfg.propose_restore)
 
     def one(path: str) -> str:
-        frame = load_frame(path)
-        if cfg.propose_restore:
-            frame = restore_image(frame, dcfg)
-        res = region_propose(frame, rp)
-        cells = (frame.height + 2 * dcfg.ring) * (frame.width + 2 * dcfg.ring)
+        run = pipeline.propose(load_frame(path))
         stem = _stem(path)
-        _write_text(os.path.join(args.out, stem + ".boxes.json"), boxes_to_json(res.boxes))
-        return ",".join(map(str, (stem, len(res.boxes), *cost_report(res, substeps, cells))))
+        _write_text(os.path.join(args.out, stem + ".boxes.json"), boxes_to_json(run.boxes))
+        return ",".join(map(str, (stem, len(run.boxes), *run.cost)))
 
     rows = _map_frames(one, paths, worker_count())
     lines = ["frame_id,n_objects,imc_cycles,total_cycles,diffusion_ops,projection_ops"]

@@ -153,6 +153,7 @@ def set_key(cfg: RunConfig, key: str, value: str) -> None:
 
 def parse_config_text(text: str, cfg: RunConfig | None = None, source: str = "<config>") -> RunConfig:
     cfg = cfg if cfg is not None else RunConfig()
+    set_on: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -160,7 +161,11 @@ def parse_config_text(text: str, cfg: RunConfig | None = None, source: str = "<c
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        set_key(cfg, key.strip(), value.strip())
+        key = key.strip()
+        if key in set_on:
+            raise ConfigError(f"{source}:{lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
+        set_key(cfg, key, value.strip())
     return cfg
 
 

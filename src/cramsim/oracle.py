@@ -1,4 +1,4 @@
-"""Ground-truth connected components, box matching, and the F1 benchmark.
+"""The per-frame pipeline, ground-truth components, box matching and the F1 benchmark.
 
 The raster-scan labeling here is the reference any proposal pipeline is
 scored against. Detection scoring matches predicted and ground-truth boxes
@@ -12,13 +12,15 @@ import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .diffusion import DiffusionConfig, restore_image
 from .errors import ConfigError
 from .grid import BinaryFrame
-from .projection import Box, RpConfig, iss, region_propose
+from .projection import Box, ProposeResult, RpConfig, iss, region_propose
+from .timing import CostReport, cost_report
 
 IOU_THRESHOLDS = (0.3, 0.5, 0.7)  # scored when no thresholds are given
 
@@ -219,12 +221,32 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
+class FrameRun(NamedTuple):
+    """One frame through the pipeline: its proposal, the diffusion substeps run before
+    the search (0 if unrestored) and the diffused cells, dummy ring included."""
+
+    proposal: ProposeResult
+    substeps: int
+    cells: int
+
+    @property
+    def boxes(self) -> list[Box]:
+        return self.proposal.boxes
+
+    @property
+    def cost(self) -> CostReport:
+        """The frame's modeled cost, worked out on each read: evaluate never reads it."""
+        return cost_report(self.proposal, self.substeps, self.cells)
+
+
 @dataclass(frozen=True)
 class EvalPipeline:
-    """What runs per frame during evaluation: restoration then proposal.
+    """The per-frame pipeline of `cram-sim propose` and `cram-sim eval`.
 
-    restore/consolidate toggles support ablations; with consolidate off the
-    raw projection-search boxes are scored.
+    propose() is the one place that restores, searches and consolidates a
+    frame. restore/consolidate toggles support ablations; with consolidate
+    off the raw projection-search boxes are the proposal, and the
+    controller, which never runs, is charged nothing.
     """
 
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
@@ -232,12 +254,17 @@ class EvalPipeline:
     restore: bool = True
     consolidate: bool = True
 
-    def propose(self, frame: BinaryFrame) -> list[Box]:
+    def propose(self, frame: BinaryFrame) -> FrameRun:
+        d = self.diffusion
+        cells = (frame.height + 2 * d.ring) * (frame.width + 2 * d.ring)
         if self.restore:
-            frame = restore_image(frame, self.diffusion)
+            frame = restore_image(frame, d)
         if self.consolidate:
-            return region_propose(frame, self.rp).boxes
-        return iss(frame, self.rp).boxes
+            proposal = region_propose(frame, self.rp)
+        else:
+            found = iss(frame, self.rp)
+            proposal = ProposeResult(found.boxes, found.trace, found)
+        return FrameRun(proposal, d.pulses * d.substeps_per_pulse if self.restore else 0, cells)
 
 
 @dataclass(frozen=True)
@@ -269,7 +296,7 @@ def evaluate(
         _check_iou_threshold(thr)
 
     def score(sample: FrameSample) -> list[MatchResult]:
-        pred = pipeline.propose(sample.frame)
+        pred = pipeline.propose(sample.frame).boxes
         return [match_boxes(pred, sample.gt, thr) for thr in thresholds]
 
     matches = _pool_map(score, samples, workers)  # matches[frame][threshold]

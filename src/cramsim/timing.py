@@ -96,7 +96,7 @@ class CostReport(NamedTuple):
 
 
 def cost_report(result: ProposeResult, substeps: int = 0, cells: int = 0) -> CostReport:
-    """Modeled cost of one region_propose run and the diffusion before it.
+    """Modeled cost of one proposal and the diffusion before it.
 
     imc_cycles charges the search's array projections only; total_cycles
     adds the controller ops. substeps counts the diffusion substeps run

@@ -21,6 +21,7 @@ from cramsim.config import RunConfig, known_keys, load_config, parse_config_text
 from cramsim.diffusion import DiffusionConfig
 from cramsim.errors import ConfigError
 from cramsim.grid import BinaryFrame, frame_to_bytes, load_frame
+from cramsim.oracle import EvalPipeline
 from cramsim.projection import RpConfig, boxes_from_json
 from cramsim.synth import SynthConfig
 
@@ -73,6 +74,19 @@ def test_config_rejects_unknown_key_and_bad_values():
         parse_config_text("pipeline.restore = maybe\n")
     with pytest.raises(ConfigError):
         parse_config_text("just a line\n")
+
+
+def test_config_file_may_set_a_key_once(tmp_path, capsys):
+    cfg_file = tmp_path / "twice.cfg"
+    cfg_file.write_text("frame.width = 64\n# comment\n frame.width=32\n")
+    out = tmp_path / "out"
+    assert run_cli("probe", "--config", str(cfg_file), "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"cram-sim: error: {cfg_file}:3: frame.width is already set on line 1"]
+    assert not out.exists()
+    # a command-line override still replaces the file's value
+    cfg_file.write_text("frame.width = 64\n")
+    assert load_config(str(cfg_file), [("frame.width", "32")]).frame_width == 32
 
 
 def test_config_missing_file():
@@ -266,6 +280,32 @@ def test_propose_cycles_on_separated_frame(tmp_path):
     row = (out / "cycles.csv").read_text().splitlines()[1].split(",")
     assert row[0] == "diag"
     assert (int(row[1]), int(row[2]), int(row[3])) == (2, 24, 32)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_propose_runs_each_frame_once_through_one_pipeline(tmp_path, corpus, monkeypatch,
+                                                          threads):
+    calls = []
+    propose = EvalPipeline.propose
+
+    def counted(self, frame):
+        calls.append((self, frame))
+        return propose(self, frame)
+
+    monkeypatch.setattr(EvalPipeline, "propose", counted)
+    monkeypatch.setenv("CRAM_SIM_THREADS", threads)
+    out = tmp_path / "boxes"
+    assert run_cli("propose", str(corpus), "--out", str(out), "--propose.restore", "true") == 0
+    paths = sorted(corpus.glob("*.pbm"))
+    assert len(calls) == len(paths) == 4
+    assert len({id(pipe) for pipe, _ in calls}) == 1
+    pipe = calls[0][0]
+    assert sorted(f.pixels.tobytes() for _, f in calls) == sorted(
+        load_frame(str(p)).pixels.tobytes() for p in paths)
+    rows = (out / "cycles.csv").read_text().splitlines()[1:]
+    for row, path in zip(rows, paths, strict=True):
+        run = propose(pipe, load_frame(str(path)))
+        assert row == ",".join(map(str, (path.stem, len(run.boxes), *run.cost)))
 
 
 # The README session's corpus, and its cycles.csv without and with restoration.

@@ -9,11 +9,10 @@ from cramsim import _ckernel
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The code that counts as "the system": the package itself, the scripts, the
-# benchmark, and the acceptance criteria. Unit tests do not count.
+# The code that counts as "the system": the package itself, the benchmark,
+# and the acceptance criteria. Unit tests do not count.
 CALLER_FILES = sorted(
     [p for p in (ROOT / "src" / "cramsim").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "scripts").glob("*.py"))
     + list((ROOT / "perfbench").glob("*.py"))
     + [ROOT / "tests" / "test_acceptance.py"]
 )

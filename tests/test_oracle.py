@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,7 +226,7 @@ def test_evaluate_checks_thresholds_before_any_frame(monkeypatch):
 
     def counting_propose(self, frame):
         calls.append(frame)
-        return []
+        return SimpleNamespace(boxes=[])
 
     monkeypatch.setattr(EvalPipeline, "propose", counting_propose)
     samples = [FrameSample(frame=frame_of("##\n##"), gt=[Box(0, 1, 0, 1)])] * 3
@@ -278,7 +279,7 @@ def test_evaluate_sweep_checks_every_setting_before_any_frame(monkeypatch):
 
     def counting_propose(self, frame):
         calls.append(frame)
-        return []
+        return SimpleNamespace(boxes=[])
 
     monkeypatch.setattr(EvalPipeline, "propose", counting_propose)
     samples = [FrameSample(frame=frame_of("##\n##"), gt=[Box(0, 1, 0, 1)])] * 3
@@ -302,7 +303,7 @@ def test_pipeline_toggles_change_proposals():
         pipe = EvalPipeline(
             diffusion=DiffusionConfig(), rp=rp, restore=restore, consolidate=consolidate
         )
-        return pipe.propose(f)
+        return pipe.propose(f).boxes
 
     raw = boxes(False, False)
     assert Box(20, 20, 20, 20) in raw and len(raw) == 3
@@ -313,6 +314,31 @@ def test_pipeline_toggles_change_proposals():
     # price of eroding one row from the top and bottom edges
     assert restored == [Box(5, 10, 4, 13)]
     assert boxes(True, True) == restored
+
+
+@pytest.mark.parametrize("restore", [False, True])
+def test_unconsolidated_run_charges_the_search_and_the_diffusion_only(restore):
+    frame = BinaryFrame(np.kron(np.eye(3, dtype=np.uint8), np.ones((6, 5), dtype=np.uint8)))
+    d = DiffusionConfig(pulses=2, substeps_per_pulse=3, ring=2)
+    run = EvalPipeline(diffusion=d, restore=restore, consolidate=False).propose(frame)
+    cost = run.cost
+    assert cost.total_cycles == cost.imc_cycles > 0  # the controller never ran
+    assert cost.diffusion_ops == (5 * 2 * 3 * (18 + 4) * (15 + 4) if restore else 0)
+    assert cost.projection_ops == sum(run.proposal.search.projection_cells)
+    assert run.boxes == run.proposal.search.boxes
+
+
+def test_evaluate_never_works_out_the_modeled_cost(monkeypatch):
+    def no_cost(*args):
+        raise AssertionError("cost_report called")
+
+    monkeypatch.setattr(oracle, "cost_report", no_cost)
+    sample = _sample("##.\n##.\n...", [Box(0, 1, 0, 1)])
+    with pytest.raises(AssertionError, match="cost_report"):
+        EvalPipeline().propose(sample.frame).cost
+    for consolidate in (False, True):
+        pipe = EvalPipeline(restore=False, consolidate=consolidate)
+        assert [r.tp for r in evaluate([sample] * 3, pipe, [0.5], workers=2)] == [3]
 
 
 def test_pool_map_creates_one_pool_for_concurrent_callers(monkeypatch):

@@ -419,7 +419,7 @@ def test_search_returns_candidates_in_pass_order():
             res = iss(frame, RpConfig())
             check(res)
             assert res.boxes == boxes
-            assert EvalPipeline(restore=False, consolidate=False).propose(frame) == boxes
+            assert EvalPipeline(restore=False, consolidate=False).propose(frame).boxes == boxes
 
 
 def test_batched_search_matches_reference_on_noisy_corpus():
