@@ -11,7 +11,8 @@ command that fails its checks leaves none; an empty ``--out`` or one that
 names an existing non-directory fails before any work. Files are written
 via a temp-and-rename so an interrupted run never leaves partial output.
 ``propose`` and ``eval`` run each frame through ``oracle.EvalPipeline.propose``.
-Worker-thread count comes from CRAM_SIM_THREADS; unset or 0 means one per CPU.
+Worker-thread count comes from CRAM_SIM_THREADS; unset or 0 means one per CPU,
+and at most MAX_THREADS threads are used.
 """
 
 from __future__ import annotations
@@ -34,48 +35,66 @@ from .diffusion import (
 )
 from .errors import ConfigError, CramSimError, InputError
 from .grid import analog_to_bytes, frame_to_bytes, load_frame
-from .oracle import EvalPipeline, FrameSample, _pool_map, evaluate_sweep
+from .oracle import FrameSample, _pool_map, evaluate_sweep
 from .projection import boxes_from_json, boxes_to_json
 
 
+# Every thread that restores keeps its own workspace for the life of the
+# process, so the thread count is bounded; the bound is not the CPU count,
+# which would silently turn a requested 2-thread run into 1 on a 1-CPU host.
+MAX_THREADS = 256
+
+
 def worker_count() -> int:
-    """Resolve CRAM_SIM_THREADS; 0 or unset means one per CPU."""
-    raw = os.environ.get("CRAM_SIM_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
+    """Resolve CRAM_SIM_THREADS; 0 or unset means one per CPU, at most MAX_THREADS."""
+    raw = os.environ.get("CRAM_SIM_THREADS", "").strip() or "0"
     try:
         n = int(raw)
     except ValueError:
         raise ConfigError(f"CRAM_SIM_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ConfigError("CRAM_SIM_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
+    if not 0 <= n <= MAX_THREADS:
+        raise ConfigError(f"CRAM_SIM_THREADS must be in [0, {MAX_THREADS}], got {raw}")
+    return n or min(os.cpu_count() or 1, MAX_THREADS)
 
 
 _temp_names = random.Random()  # temp-file name suffixes; not the global random state
 
 
-def _write_bytes(path: str, data: bytes) -> None:
-    """Write data to path by temp-and-rename, creating its directory if missing.
-
-    The temp file is created with mode 0o666, so the file follows the
-    process umask as a plain open() would. Its random name is retried on a
-    clash, as tempfile.mkstemp does.
-    """
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
+def _open_temp(directory: str) -> tuple[str, int]:
+    """Create a new temp file in directory; its random name is retried on a clash."""
     for _ in range(100):
         tmp = os.path.join(directory, f".tmp-{_temp_names.getrandbits(48):012x}~")
         try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
-            break
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
         except FileExistsError:
             continue
-    else:
-        raise FileExistsError(errno.EEXIST, "no unused temporary file name", directory)
+    raise FileExistsError(errno.EEXIST, "no unused temporary file name", directory)
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    """Write data to path by temp-and-rename, creating its directory if missing.
+
+    The temp file is opened first, and the directory is created, with its
+    parents, only when that open finds it missing, so an existing directory
+    costs no extra check. The temp file is created with mode 0o666, so the
+    file follows the process umask as a plain open() would; its random name
+    is retried on a clash, as tempfile.mkstemp does. os.write is called until
+    every byte is written, and on any failure the temp file is removed and
+    the target is left as it was.
+    """
+    directory = os.path.dirname(path) or "."
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        tmp, fd = _open_temp(directory)
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        tmp, fd = _open_temp(directory)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -172,7 +191,7 @@ def cmd_restore(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_propose(cfg: RunConfig, args: argparse.Namespace) -> int:
     paths = _collect_pbm_inputs(args.inputs)
-    pipeline = EvalPipeline(cfg.diffusion_config(), cfg.rp_config(), restore=cfg.propose_restore)
+    pipeline = cfg.pipeline(cfg.propose_restore)
 
     def one(path: str) -> str:
         run = pipeline.propose(load_frame(path))

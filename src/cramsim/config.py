@@ -108,13 +108,18 @@ class RunConfig:
     def synth_config(self) -> SynthConfig:
         return self._pick(SynthConfig, width=self.frame_width, height=self.frame_height)
 
+    def pipeline(self, restore: bool, consolidate: bool = True) -> EvalPipeline:
+        """The per-frame pipeline on these knobs, diffusion checked before rp.
+
+        The diffusion knobs are built, and so checked, only when the pipeline
+        restores; otherwise it gets the defaults, whose ring sizes only the
+        diffused cells, which 0 substeps multiply away.
+        """
+        diffusion = self.diffusion_config() if restore else DiffusionConfig()
+        return EvalPipeline(diffusion, self.rp_config(), restore=restore, consolidate=consolidate)
+
     def eval_pipeline(self) -> EvalPipeline:
-        return EvalPipeline(
-            diffusion=self.diffusion_config(),
-            rp=self.rp_config(),
-            restore=self.pipeline_restore,
-            consolidate=self.pipeline_consolidate,
-        )
+        return self.pipeline(self.pipeline_restore, self.pipeline_consolidate)
 
 
 _SECTIONS = {DiffusionConfig: "diffusion", ProjectionConfig: "projection",

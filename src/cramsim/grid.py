@@ -116,7 +116,8 @@ def frame_to_bytes(frame: BinaryFrame) -> bytes:
 
 def load_frame(path: str | Path) -> BinaryFrame:
     """Read a binary PBM (P4) file; errors name the failing byte offset."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
 
     def read_token(pos: int) -> tuple[bytes, int]:
         start = _SEPARATORS.match(data, pos).end()

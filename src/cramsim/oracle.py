@@ -29,19 +29,20 @@ _pools_lock = threading.Lock()
 
 
 def _pool_map(func, items: list, workers: int) -> list:
-    """Apply func over items, in order, on the process's pool of `workers` threads.
+    """Apply func over items, in order, on the calling thread and `workers` - 1 pool threads.
 
-    The pool for each worker count is created on first use and kept for the
-    life of the process, so repeated calls start no new threads. Each call
-    submits one task per thread it can use, min(workers, len(items)), and
-    every task takes the next unclaimed item in turn until none is left, so
-    a thread that finishes early takes more frames. Results are stored by
-    item index. After a failure no further item is handed out; the call
-    waits for every task and raises the exception of the lowest failing
-    index, which is the one an in-order map would raise. A task running on
-    a pool must never submit work to the same pool: once every worker waits
-    on such a task, nothing is left to run it. With one worker or one item,
-    func runs on the calling thread.
+    The pool for each worker count holds workers - 1 threads; it is created
+    on first use and kept for the life of the process, so repeated calls
+    start no new threads. Each call submits one task to each pool thread it
+    can use, min(workers, len(items)) - 1, then takes turns itself: every
+    taker, the calling thread included, takes the next unclaimed item until
+    none is left, so a thread that finishes early takes more frames.
+    Results are stored by item index. After a failure no further item is
+    handed out; the call waits for every task and raises the exception of
+    the lowest failing index, which is the one an in-order map would raise.
+    A task running on a pool must never submit work to the same pool: once
+    every pool thread waits on such a task, nothing is left to run it. With
+    one worker or one item, func runs on the calling thread alone.
     """
     n = len(items)
     if workers <= 1 or n <= 1:
@@ -49,7 +50,7 @@ def _pool_map(func, items: list, workers: int) -> list:
     with _pools_lock:
         pool = _pools.get(workers)
         if pool is None:
-            pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="cram-sim")
+            pool = ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="cram-sim")
             _pools[workers] = pool
     results = [None] * n
     errors: dict[int, BaseException] = {}  # item index -> what func raised
@@ -65,7 +66,8 @@ def _pool_map(func, items: list, workers: int) -> list:
                 errors[i] = exc
                 return
 
-    tasks = [pool.submit(take_turns) for _ in range(min(workers, n))]
+    tasks = [pool.submit(take_turns) for _ in range(min(workers, n) - 1)]
+    take_turns()
     for task in tasks:
         task.result()
     if errors:
@@ -281,10 +283,11 @@ def evaluate(
 ) -> list[EvalReport]:
     """Score the pipeline over a corpus, one report per IoU threshold.
 
-    A pool thread (the calling thread when workers is 1) proposes each
-    frame's boxes and matches them at every threshold. The calling thread
-    then sums tp/fp/fn (micro average) and the weighted F1 in frame order,
-    so the reports do not depend on the worker count, bit for bit.
+    The calling thread and up to workers - 1 pool threads take turns: one of
+    them proposes each frame's boxes and matches them at every threshold.
+    The calling thread then sums tp/fp/fn (micro average) and the weighted
+    F1 in frame order, so the reports do not depend on the worker count,
+    bit for bit.
     Every threshold is checked before any frame is proposed.
     """
     if not samples:

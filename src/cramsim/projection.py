@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -124,6 +125,9 @@ def _interval_gap(a0: int, a1: int, b0: int, b1: int) -> int:
 
 def _sort_key(box: Box) -> tuple[int, int, int, int]:
     return (box.r0, box.c0, box.r1, box.c1)
+
+
+_tuple_sort_key = operator.itemgetter(0, 2, 1, 3)  # _sort_key of an (r0, r1, c0, c1) tuple
 
 
 @dataclass(frozen=True)
@@ -319,21 +323,30 @@ def rp_update(new_boxes: np.ndarray, cfg: RpConfig) -> list[Box]:
 
     new_boxes holds one row [r0, r1, c0, c1] per proposal; boxes under size_min
     are dropped as noise. Boxes are near when the row gap is under slot_r AND
-    the column gap under slot_c (strict; overlap gaps 0). Each box absorbs every
-    near box of the merged list, checks again, and joins it once none is near.
-    Merging only grows boxes and shrinks gaps, so the fixpoint is unique.
+    the column gap under slot_c (strict; overlap gaps 0), so a slot of 0
+    merges nothing. Each box absorbs every near box of the merged list, checks
+    again, and joins it once none is near. Merging only grows boxes and
+    shrinks gaps, so the fixpoint is unique. The merge runs on plain int
+    tuples, and a Box is built only for each merged result.
     """
-    sides = new_boxes[:, 1::2] - new_boxes[:, ::2] + 1  # heights, widths
-    size = sides.max(axis=1) if cfg.size_metric == "max_side" else sides.prod(axis=1)
-    merged: list[Box] = []
-    for box in (Box(*row) for row in new_boxes[size >= cfg.size_min].tolist()):
-        while near := [b for b in merged
-                       if box.row_gap(b) < cfg.slot_r and box.col_gap(b) < cfg.slot_c]:
-            for b in near:
-                box = box.union(b)
-                merged.remove(b)
-        merged.append(box)
-    return sorted(merged, key=_sort_key)
+    heights = new_boxes[:, 1] - new_boxes[:, 0] + 1
+    widths = new_boxes[:, 3] - new_boxes[:, 2] + 1
+    size = np.maximum(heights, widths) if cfg.size_metric == "max_side" else heights * widths
+    merged = new_boxes.compress(size >= cfg.size_min, axis=0).tolist()
+    sr, sc = cfg.slot_r, cfg.slot_c
+    if sr and sc:  # a gap is never negative, so a zero slot makes no pair near
+        kept, merged = merged, []
+        for r0, r1, c0, c1 in kept:
+            # with integer extents, gap < slot is: start - other end <= slot, both ways
+            while near := [b for b in merged if b[0] - r1 <= sr and r0 - b[1] <= sr
+                           and b[2] - c1 <= sc and c0 - b[3] <= sc]:
+                for b in near:
+                    merged.remove(b)
+                near.append((r0, r1, c0, c1))
+                r0s, r1s, c0s, c1s = zip(*near)
+                r0, r1, c0, c1 = min(r0s), max(r1s), min(c0s), max(c1s)
+            merged.append((r0, r1, c0, c1))
+    return [Box(*b) for b in sorted(merged, key=_tuple_sort_key)]
 
 
 @dataclass

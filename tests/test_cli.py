@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, config plumbing, exit codes."""
 
 import contextlib
+import errno
 import io
 import itertools
 import json
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cramsim.cli import main, worker_count
+from cramsim.cli import MAX_THREADS, main, worker_count
 from cramsim.config import RunConfig, known_keys, load_config, parse_config_text, set_key
 from cramsim.diffusion import DiffusionConfig
 from cramsim.errors import ConfigError
@@ -143,6 +144,13 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("CRAM_SIM_THREADS", "-2")
     with pytest.raises(ConfigError):
         worker_count()
+    # an explicit count is bounded, and never clamped to the CPU count
+    monkeypatch.setenv("CRAM_SIM_THREADS", str(MAX_THREADS))
+    assert worker_count() == MAX_THREADS
+    for raw in (str(MAX_THREADS + 1), str(10**30)):
+        monkeypatch.setenv("CRAM_SIM_THREADS", raw)
+        with pytest.raises(ConfigError, match=rf"in \[0, {MAX_THREADS}\], got {raw}"):
+            worker_count()
 
 
 # --- synth
@@ -174,6 +182,49 @@ def test_outputs_follow_the_umask(tmp_path, monkeypatch, umask, mode):
     files = sorted((tmp_path / "corpus").iterdir()) + sorted((tmp_path / "boxes").iterdir())
     assert len(files) == 8 + 5  # a .pbm and a .gt.json per frame; a .boxes.json each, cycles.csv
     assert {f.name: f.stat().st_mode & 0o777 for f in files} == {f.name: mode for f in files}
+
+
+def test_nested_out_is_created_on_the_first_write(tmp_path, corpus):
+    out = tmp_path / "a" / "b" / "c"
+    assert run_cli("propose", str(corpus), "--out", str(out)) == 0
+    assert len(list(out.iterdir())) == 4 + 1  # a .boxes.json per frame, cycles.csv
+
+
+def test_write_retries_until_every_byte_is_written(tmp_path, monkeypatch):
+    from cramsim import cli
+
+    write, calls = os.write, []
+
+    def one_byte(fd, data):
+        calls.append(len(data))
+        return write(fd, bytes(data[:1]))
+
+    payload = bytes(range(256)) * 3
+    monkeypatch.setattr(os, "write", one_byte)
+    cli._write_bytes(str(tmp_path / "f.bin"), payload)
+    monkeypatch.undo()
+    assert (tmp_path / "f.bin").read_bytes() == payload
+    assert calls == list(range(len(payload), 0, -1))
+    assert os.listdir(tmp_path) == ["f.bin"]
+
+
+def test_failed_write_leaves_the_target_and_no_temp_file(tmp_path, corpus, capsys, monkeypatch):
+    def no_space(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    out = tmp_path / "boxes"
+    out.mkdir()
+    (out / "frame_00000.boxes.json").write_text("old\n")
+    monkeypatch.setenv("CRAM_SIM_THREADS", "2")
+    monkeypatch.setattr(os, "write", no_space)
+    capsys.readouterr()
+    code = run_cli("propose", str(corpus), "--out", str(out))
+    monkeypatch.undo()
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"cram-sim: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+    assert os.listdir(out) == ["frame_00000.boxes.json"]
+    assert (out / "frame_00000.boxes.json").read_text() == "old\n"
 
 
 # --- restore
@@ -447,7 +498,7 @@ def test_exit_codes(tmp_path, monkeypatch):
                    "--eval.sweep_substeps", "4") == 2
     assert run_cli("eval", str(corpus), "--out", str(tmp_path), "--eval.iou_thresholds", "") == 2
     assert run_cli("eval", str(corpus), "--out", str(tmp_path), "--eval.iou_thresholds", "5") == 2
-    for threads in ("lots", "-1"):
+    for threads in ("lots", "-1", str(MAX_THREADS + 1)):
         monkeypatch.setenv("CRAM_SIM_THREADS", threads)
         assert run_cli("propose", str(good), "--out", str(tmp_path)) == 2
     monkeypatch.delenv("CRAM_SIM_THREADS")
@@ -455,6 +506,21 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert run_cli("synth", "--frame.width", "4097", "--frame.height", "64",
                    "--synth.frames", "2", "--out", str(big)) == 2
     assert not big.exists()
+
+
+@pytest.mark.parametrize("command, restore_key, output", [
+    ("propose", "propose.restore", "cycles.csv"), ("eval", "pipeline.restore", "report.csv")])
+def test_knobs_of_a_stage_that_does_not_run_cannot_fail_it(tmp_path, corpus, command,
+                                                           restore_key, output):
+    bad_diffusion = ["--diffusion.alpha", "0.9", "--frame.ring", "100000"]
+    argv = [command, str(corpus), f"--{restore_key}", "false"]
+    assert run_cli(*argv, "--out", str(tmp_path / "plain")) == 0
+    assert run_cli(*argv, *bad_diffusion, "--out", str(tmp_path / "unused")) == 0
+    assert _tree(tmp_path / "unused") == _tree(tmp_path / "plain")
+    assert (tmp_path / "plain" / output).is_file()
+    restoring = [command, str(corpus), f"--{restore_key}", "true", *bad_diffusion]
+    assert run_cli(*restoring, "--out", str(tmp_path / "restored")) == 2
+    assert not (tmp_path / "restored").exists()
 
 
 @pytest.mark.parametrize("command,code", [

@@ -424,7 +424,27 @@ def test_pool_map_raises_lowest_failing_index_after_every_task_ends(workers):
         assert running == []
 
 
+@pytest.mark.parametrize("workers", [2, 4])
+def test_pool_map_calling_thread_takes_turns(workers, short_switch_interval):
+    """The calling thread runs items too, and no more than `workers` threads run any."""
+    caller = threading.get_ident()
+    lock = threading.Lock()
+
+    def func(x):
+        with lock:
+            ran_on.add(threading.get_ident())
+        time.sleep(0.005)  # a pool thread that sleeps lets the caller claim an item
+        return x * x
+
+    for _ in range(3):
+        ran_on = set()
+        assert oracle._pool_map(func, list(range(7)), workers) == [x * x for x in range(7)]
+        assert caller in ran_on
+        assert len(ran_on) <= workers
+
+
 def test_pool_map_submits_one_task_per_usable_thread(monkeypatch):
+    """A call submits one task per pool thread it can use; the caller is the other taker."""
     created = []
 
     class CountingPool(ThreadPoolExecutor):
@@ -446,8 +466,8 @@ def test_pool_map_submits_one_task_per_usable_thread(monkeypatch):
                     before = sum(pool.submitted for pool in created)
                     assert oracle._pool_map(str, list(range(n)), workers) == [str(x) for x in range(n)]
                     submitted = sum(pool.submitted for pool in created) - before
-                    assert submitted <= (min(workers, n) if n > 1 else 0)
-        assert [pool.workers for pool in created] == [2, 4]
+                    assert submitted == (min(workers, n) - 1 if n > 1 else 0)
+        assert [pool.workers for pool in created] == [1, 3]
     finally:
         for pool in created:
             pool.shutdown()
