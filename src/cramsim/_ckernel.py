@@ -1,7 +1,8 @@
 """The compiled kernels: `_kernel.c`, built with the system C compiler on first use.
 
 The library holds one call per pipeline stage: a whole restoration (used by
-``diffusion.restore_image`` and ``apply_pulses``) and the projection search
+``diffusion.restore_image``, which wants only the bits, and ``apply_pulses``,
+which wants every voltage) and the projection search
 (used by ``projection.iss``). It is built or loaded once per process on the
 first call to :func:`kernels`, and cached per user under
 ``$XDG_CACHE_HOME/cramsim`` (``~/.cache/cramsim`` by default), in a file
@@ -41,7 +42,8 @@ _COMPILE_TIMEOUT_S = 120
 
 class _Kernels(NamedTuple):
     # f(pixels_addr, height, width, ring, cur_addr, nxt_addr, coupling, substeps, pulses, vth,
-    #   bits_addr); returns 1 if the final grid is in nxt
+    #   bits_addr, analog); with analog nonzero, returns 1 if the final grid is in nxt; with
+    #   analog 0 only the bits are of use, and it returns 0
     restore: functools.partial
     # f(pixels_addr, rows, cols, fewest, max_iters, capacity, work_addr, info_addr), a line
     # tripping at fewest enabled 1s; returns the candidate count, or -1 if it declined
@@ -101,7 +103,8 @@ def _load():
     long, double, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
     variants.argtypes = ()
     variants.restype = long
-    restore.argtypes = (long, ptr, long, long, long, ptr, ptr, double, long, long, double, ptr)
+    restore.argtypes = (long, ptr, long, long, long, ptr, ptr, double, long, long, double, ptr,
+                        long)
     restore.restype = long
     search.argtypes = (ptr, long, long, long, long, long, ptr, ptr)
     search.restype = long

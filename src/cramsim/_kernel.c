@@ -1,7 +1,8 @@
 /* The package's compiled kernels, built into one shared library by _ckernel.py.
  *
  * cramsim_restore runs a whole restoration (each pulse loads bits, diffuses
- * and senses them again), and cramsim_search the alternating-projection
+ * and senses them again; when only the bits are wanted, most of them come
+ * from a charge bound instead), and cramsim_search the alternating-projection
  * region search: one call per pipeline stage. Each takes only
  * scalars and the caller's buffers (the search's line detector is one trip
  * count), and gives exactly the results of its numpy kernel, which stays as
@@ -31,23 +32,32 @@
  */
 #define BODY static inline __attribute__((always_inline))
 
+/* One substep of grid row r (1 to rows) over the buffer columns j0 to j1 (1
+ * to cols): the branch-free body at the row's k, then each edge column in
+ * the span again at its own. */
+BODY void row_substep(const double *restrict cur, double *restrict nxt, long r, long j0, long j1,
+                      long rows, long cols, double c)
+{
+    const long wp = cols + 2;
+    const double kr = 4.0 - (r == 1) - (r == rows);
+    const double *v = cur + r * wp;
+    double *out = nxt + r * wp;
+    for (long j = j0; j <= j1; j++)
+        out[j] = v[j] + c * (((v[j - wp] + v[j + wp]) + (v[j - 1] + v[j + 1])) - kr * v[j]);
+    const double ke = cols == 1 ? kr - 2.0 : kr - 1.0;
+    if (j0 == 1)
+        out[1] = v[1] + c * (((v[1 - wp] + v[1 + wp]) + (v[0] + v[2])) - ke * v[1]);
+    if (j1 == cols)
+        out[cols] = v[cols]
+            + c * (((v[cols - wp] + v[cols + wp]) + (v[cols - 1] + v[cols + 1])) - ke * v[cols]);
+}
+
 BODY void substeps_body(double *restrict cur, double *restrict nxt, long rows, long cols,
                         double c, long substeps)
 {
-    const long wp = cols + 2;
     for (long s = 0; s < substeps; s++) {
-        for (long r = 1; r <= rows; r++) {
-            const double kr = 4.0 - (r == 1) - (r == rows);
-            const double *v = cur + r * wp;
-            double *out = nxt + r * wp;
-            /* branch-free body at the row's k, then the two edge columns again */
-            for (long j = 1; j <= cols; j++)
-                out[j] = v[j] + c * (((v[j - wp] + v[j + wp]) + (v[j - 1] + v[j + 1])) - kr * v[j]);
-            const double ke = cols == 1 ? kr - 2.0 : kr - 1.0;
-            out[1] = v[1] + c * (((v[1 - wp] + v[1 + wp]) + (v[0] + v[2])) - ke * v[1]);
-            out[cols] = v[cols]
-                + c * (((v[cols - wp] + v[cols + wp]) + (v[cols - 1] + v[cols + 1])) - ke * v[cols]);
-        }
+        for (long r = 1; r <= rows; r++)
+            row_substep(cur, nxt, r, 1, cols, rows, cols, c);
         double *t = cur;
         cur = nxt;
         nxt = t;
@@ -98,6 +108,24 @@ BODY void threshold(const double *restrict cell, unsigned char *restrict out, lo
         out[j] = cell[j] > vth;
 }
 
+/* A buffer that grows to what one step of a kernel needs. Growing it
+ * discards its contents, which no step reads back. */
+typedef struct {
+    void *p;
+    size_t size;
+} Scratch;
+
+/* Room for size bytes, or NULL if it cannot be allocated. */
+static void *room(Scratch *s, size_t size)
+{
+    if (s->p == NULL || size > s->size) {
+        free(s->p);
+        s->size = size > 0 ? size : 1;
+        s->p = malloc(s->size);
+    }
+    return s->p;
+}
+
 /* The whole restoration of diffusion.restore_image, substeps inlined; see cramsim_restore. */
 BODY long restore_body(const unsigned char *pixels, long h, long w, long ring, double *cur,
                        double *nxt, double c, long substeps, long pulses, double vth,
@@ -121,14 +149,422 @@ BODY long restore_body(const unsigned char *pixels, long h, long w, long ring, d
     return cur != first;
 }
 
+/* The bits-only restore: the bits of restore_body, most of them decided
+ * from a charge bound, with substeps run only where a bit is still in doubt.
+ *
+ * The bound. One pulse of S substeps at coupling c leaves each cell x at
+ * v(x) = sum over cells p of G(x, p) b(p), b the loaded bits. A substep is
+ * symmetric with nonnegative weights (c <= 0.25) and rows that sum to 1, so
+ * G is too, and G(x, p) is 0 unless p lies within S cells of x. By the
+ * method of images, G(x, p) <= m(x) g(k), k the Chebyshev distance from x
+ * to p: g(k) is the most that the free-space S-substep kernel gives at a
+ * distance of k or more (free_peaks), and m(x) is 1, 2 or 4, a factor 2 on
+ * each axis where x lies within S of a reflecting edge, whose image of p is
+ * no nearer to x than p. That holds when both grid sides are at least
+ * 2S + 2, so that no more than one image per axis is in reach. Summed over
+ * the 1s, then over the 0s, of b around x (ring cells count as 0s):
+ *     m(x) sum over 1s of g(k) >= v(x) >= 1 - m(x) sum over 0s of g(k).
+ * The bit is 0 if the left side is below vth, and 1 if the right side is
+ * above it, each by a margin delta = 1e-12 (S + 1) added to g and to vth,
+ * far above the reference's rounding of a few ulps per substep. With no 1
+ * in reach it is 0, as v(x) is exactly 0.0, and with no 0 it is 1.
+ *
+ * The grid is cut into TILE_ROWS x TILE_COLS tiles, and the bound is taken
+ * per tile: g(k) at the fewest cells between two tiles, and m at the most
+ * of any cell. A tile is decided if the bound fixes the bits of all its
+ * frame cells, else undecided. The substep s of S (counted from 1) then
+ * runs only on the tiles within S - s cells of an undecided tile, and the
+ * pulse's bit plane is loaded only on those within S. Every other cell
+ * holds a stale value, which moves one cell per substep and so never
+ * reaches an undecided cell. The undecided cells are sensed as restore_body
+ * senses them, and the decided ones written whole.
+ */
+enum { TILE_ROWS = 4, TILE_COLS = 8, UNDECIDED = 2 };
+
+static inline long clamp(long x, long lo, long hi)
+{
+    return x < lo ? lo : x > hi ? hi : x;
+}
+
+/* The fewest cells between two tiles whose indices on an axis of tiles of
+ * size cells differ by d. */
+static inline long tile_gap(long d, long size)
+{
+    d = d < 0 ? -d : d;
+    return d ? size * d - (size - 1) : 0;
+}
+
+enum { KEPT_SUBSTEPS = 64 };
+
+/* g(k) of the bound for k = 0 to S, into g; -1 if there is no room. One
+ * unit charge starts at the center of a (2S + 1)^2 grid, whose edge it
+ * reaches only on the last substep, where the edge changes nothing. Each
+ * thread keeps its last g of at most KEPT_SUBSTEPS substeps for the next
+ * call at the same c and S. */
+static int free_peaks(double c, long S, double *g)
+{
+    static _Thread_local double kept_c, kept_g[KEPT_SUBSTEPS + 1];
+    static _Thread_local long kept_S;
+    if (S == kept_S && c == kept_c) {
+        memcpy(g, kept_g, (size_t)(S + 1) * sizeof *g);
+        return 0;
+    }
+    const long n = 2 * S + 1, wp = n + 2;
+    double *cur = calloc(2 * (size_t)(wp * wp), sizeof *cur);
+    if (cur == NULL)
+        return -1;
+    double *nxt = cur + wp * wp;
+    cur[(S + 1) * wp + S + 1] = 1.0;
+    substeps_body(cur, nxt, n, n, c, S);
+    const double *v = S % 2 ? nxt : cur;
+    for (long k = 0; k <= S; k++)
+        g[k] = 0.0;
+    for (long r = 0; r < n; r++)
+        for (long j = 0; j < n; j++) {
+            const long dr = r > S ? r - S : S - r, dj = j > S ? j - S : S - j;
+            double *peak = g + (dr > dj ? dr : dj);
+            if (v[(r + 1) * wp + j + 1] > *peak)
+                *peak = v[(r + 1) * wp + j + 1];
+        }
+    for (long k = S; k > 0; k--) /* the most at k or more */
+        if (g[k] > g[k - 1])
+            g[k - 1] = g[k];
+    free(cur);
+    if (S <= KEPT_SUBSTEPS) {
+        memcpy(kept_g, g, (size_t)(S + 1) * sizeof *g);
+        kept_c = c;
+        kept_S = S;
+    }
+    return 0;
+}
+
+/* The tiles' shape, and the scratch of the bits-only restore. Tile (b, u)
+ * is band b (a row of tiles), column u. The per-tile arrays hold the bands
+ * inside a padding of reach_r bands above and below and reach_c columns on
+ * either side, where ones, zeros and m are 0 and no tile is undecided, so
+ * that an offset in reach is one shift of a whole array: tile (b, u) is at
+ * at(t, b) + u. A tile's reach is the tiles at most reach_r bands and
+ * reach_c columns from it. */
+typedef struct {
+    long rows, cols, bands, across, S, reach_r, reach_c, stride, tiles;
+    double *weight;       /* g + delta at each offset in reach, band-major */
+    double *ones, *zeros; /* per tile: its frame's 1s; its grid cells less those */
+    double *m;            /* per tile: m of the bound, or 0 if it holds no frame cell */
+    int32_t *level;       /* per tile: fewest cells to an undecided tile, or S + 1 past S */
+    int32_t *row_level;   /* per tile: the same, within its band only */
+    int32_t *nearest;     /* per band: its least level */
+    unsigned char *state; /* per tile: the bits the bound fixes, 0 or 1, or UNDECIDED */
+    unsigned char *sum;   /* per grid column: the 1s of one band's frame rows */
+} Tiles;
+
+static inline long at(const Tiles *t, long b)
+{
+    return (b + t->reach_r) * t->stride + t->reach_c;
+}
+
+enum { CHUNK = 256 }; /* tiles whose sums decide stays on, in L1 */
+
+/* up += weight ones and down += weight zeros, over n tiles. */
+BODY void accumulate(double *restrict up, double *restrict down, const double *restrict ones,
+                     const double *restrict zeros, double weight, long n)
+{
+    for (long j = 0; j < n; j++) {
+        up[j] += weight * ones[j];
+        down[j] += weight * zeros[j];
+    }
+}
+
+/* The states of n tiles from their bounds' sums; returns the undecided count. */
+BODY long settle(unsigned char *restrict state, const double *restrict m, const double *restrict up,
+                 const double *restrict down, double vth, double delta, long n)
+{
+    long undecided = 0;
+    for (long j = 0; j < n; j++) {
+        const int zero = (m[j] == 0.0) | (up[j] == 0.0) | (m[j] * up[j] < vth - delta);
+        const int one = (down[j] == 0.0) | (1.0 - m[j] * down[j] > vth + delta);
+        const int doubt = !(zero | one);
+        state[j] = (unsigned char)(doubt ? UNDECIDED : !zero);
+        undecided += doubt;
+    }
+    return undecided;
+}
+
+/* Decide every tile from in, the frame's h x w bits, one byte each: state
+ * 0 or 1 where the bound fixes the bits of all its frame cells, else
+ * UNDECIDED. Returns the undecided count. */
+BODY long decide(Tiles *t, const unsigned char *in, long h, long w, long ring, double vth,
+                 double delta)
+{
+    const long across = t->across;
+    for (long b = 0; b < t->bands; b++) {
+        const long i0 = clamp(b * TILE_ROWS - ring, 0, h);
+        const long i1 = clamp(b * TILE_ROWS + TILE_ROWS - ring, 0, h);
+        const long height = clamp(t->rows - b * TILE_ROWS, 0, TILE_ROWS);
+        unsigned char *restrict sum = t->sum + ring; /* its ring columns stay 0 */
+        if (i0 < i1) {
+            memcpy(sum, in + i0 * w, (size_t)w);
+            for (long i = i0 + 1; i < i1; i++)
+                for (long j = 0; j < w; j++)
+                    sum[j] += in[i * w + j];
+        }
+        for (long u = 0; u < across; u++) {
+            uint64_t word = 0;
+            if (i0 < i1)
+                memcpy(&word, t->sum + u * TILE_COLS, TILE_COLS);
+            /* the word's bytes, each at most TILE_ROWS, add up in its top byte */
+            const double ones = (double)((word * 0x0101010101010101u) >> 56);
+            const long width = clamp(t->cols - u * TILE_COLS, 0, TILE_COLS);
+            t->ones[at(t, b) + u] = ones;
+            t->zeros[at(t, b) + u] = (double)(height * width) - ones;
+        }
+    }
+    const long span = 2 * t->reach_c + 1, offsets = (2 * t->reach_r + 1) * span;
+    long undecided = 0;
+    for (long i = at(t, 0) - t->reach_c; i < at(t, t->bands) - t->reach_c; i += CHUNK) {
+        const long n = clamp(at(t, t->bands) - t->reach_c - i, 0, CHUNK);
+        double up[CHUNK], down[CHUNK];
+        for (long j = 0; j < n; j++)
+            up[j] = down[j] = 0.0;
+        for (long o = 0; o < offsets; o++) {
+            const double weight = t->weight[o];
+            const long shift = (o / span - t->reach_r) * t->stride + o % span - t->reach_c;
+            accumulate(up, down, t->ones + i + shift, t->zeros + i + shift, weight, n);
+        }
+        undecided += settle(t->state + i, t->m + i, up, down, vth, delta, n);
+    }
+    return undecided;
+}
+
+/* Level every tile, and find each band's least level; the box distance
+ * splits into one pass along the bands and one across them. */
+BODY void spread(Tiles *t)
+{
+    const long stride = t->stride, lo = at(t, 0) - t->reach_c, hi = at(t, t->bands) - t->reach_c;
+    const int32_t far = (int32_t)(t->S + 1);
+    int32_t *restrict row_level = t->row_level, *restrict level = t->level;
+    for (long i = 0; i < t->tiles; i++)
+        row_level[i] = level[i] = far;
+    for (long dc = -t->reach_c; dc <= t->reach_c; dc++) {
+        const int32_t gap = (int32_t)tile_gap(dc, TILE_COLS);
+        const unsigned char *restrict state = t->state + dc;
+        for (long i = lo; i < hi; i++)
+            row_level[i] = state[i] == UNDECIDED && gap < row_level[i] ? gap : row_level[i];
+    }
+    for (long dr = -t->reach_r; dr <= t->reach_r; dr++) {
+        const int32_t gap = (int32_t)tile_gap(dr, TILE_ROWS);
+        const int32_t *restrict near = row_level + dr * stride;
+        for (long i = lo; i < hi; i++) {
+            const int32_t d = near[i] > gap ? near[i] : gap;
+            level[i] = d < level[i] ? d : level[i];
+        }
+    }
+    for (long b = 0; b < t->bands; b++) {
+        int32_t least = far;
+        for (long u = 0; u < t->across; u++)
+            least = level[at(t, b) + u] < least ? level[at(t, b) + u] : least;
+        t->nearest[b] = least;
+    }
+}
+
+/* The next run [*u0, *u1) of a band's tiles at level d or less, from *u on;
+ * 0 when there is none. */
+static inline int next_run(const int32_t *level, long across, long d, long *u, long *u0, long *u1)
+{
+    while (*u < across && level[*u] > d)
+        (*u)++;
+    if (*u == across)
+        return 0;
+    *u0 = *u;
+    while (*u < across && level[*u] <= d)
+        (*u)++;
+    *u1 = *u;
+    return 1;
+}
+
+/* Load the bits in into buf, as fill does, on the tiles at level S or less.
+ * It is compiled once, outside the builds: it ran no faster inlined in the
+ * AVX-512F build, which added about 0.7 s to the library's first build. */
+static void load(const Tiles *t, double *buf, const unsigned char *in, long h, long w, long ring)
+{
+    const long wp = t->cols + 2;
+    for (long b = 0; b < t->bands; b++) {
+        if (t->nearest[b] > t->S)
+            continue;
+        const long r0 = b * TILE_ROWS, r1 = clamp(r0 + TILE_ROWS, 0, t->rows);
+        long u = 0, u0, u1;
+        while (next_run(t->level + at(t, b), t->across, t->S, &u, &u0, &u1)) {
+            /* grid columns [c0, c1): ring [c0, f0), frame [f0, f1), ring [f1, c1) */
+            const long c0 = u0 * TILE_COLS, c1 = clamp(u1 * TILE_COLS, 0, t->cols);
+            const long f0 = clamp(ring, c0, c1), f1 = clamp(ring + w, c0, c1);
+            for (long r = r0; r < r1; r++) {
+                double *g = buf + (r + 1) * wp + 1;
+                const long i = r - ring;
+                if (i < 0 || i >= h) {
+                    memset(g + c0, 0, (size_t)(c1 - c0) * sizeof *g);
+                    continue;
+                }
+                memset(g + c0, 0, (size_t)(f0 - c0) * sizeof *g);
+                const unsigned char *px = in + i * w;
+                for (long j = f0; j < f1; j++)
+                    g[j] = px[j - ring];
+                memset(g + f1, 0, (size_t)(c1 - f1) * sizeof *g);
+            }
+        }
+    }
+}
+
+/* Run the S substeps, each on the tiles it must, from the plane in cur;
+ * returns the buffer that holds the result. */
+BODY double *diffuse(const Tiles *t, double *cur, double *nxt, double c)
+{
+    for (long d = t->S - 1; d >= 0; d--) {
+        for (long b = 0; b < t->bands; b++) {
+            if (t->nearest[b] > d)
+                continue;
+            const long r0 = b * TILE_ROWS, r1 = clamp(r0 + TILE_ROWS, 0, t->rows);
+            long u = 0, u0, u1;
+            while (next_run(t->level + at(t, b), t->across, d, &u, &u0, &u1)) {
+                const long j1 = clamp(u1 * TILE_COLS, 0, t->cols);
+                for (long r = r0; r < r1; r++)
+                    row_substep(cur, nxt, r + 1, u0 * TILE_COLS + 1, j1, t->rows, t->cols, c);
+            }
+        }
+        double *s = cur;
+        cur = nxt;
+        nxt = s;
+    }
+    return cur;
+}
+
+/* Write the frame's bits: the decided tiles' whole, and the undecided
+ * tiles' sensed from grid at vth. */
+BODY void sense(const Tiles *t, const double *grid, unsigned char *bits, long h, long w,
+                long ring, double vth)
+{
+    const long wp = t->cols + 2;
+    for (long b = 0; b < t->bands; b++) {
+        const long i0 = clamp(b * TILE_ROWS - ring, 0, h);
+        const long i1 = clamp(b * TILE_ROWS + TILE_ROWS - ring, 0, h);
+        const unsigned char *state = t->state + at(t, b);
+        for (long u0 = 0, u1 = 0; i0 < i1 && u0 < t->across; u0 = u1) {
+            while (u1 < t->across && state[u1] == state[u0])
+                u1++;
+            const long f0 = clamp(u0 * TILE_COLS - ring, 0, w);
+            const long f1 = clamp(u1 * TILE_COLS - ring, 0, w);
+            for (long i = i0; i < i1 && f0 < f1; i++) {
+                if (state[u0] == UNDECIDED)
+                    threshold(grid + (i + ring + 1) * wp + ring + 1 + f0, bits + i * w + f0,
+                              f1 - f0, vth);
+                else
+                    memset(bits + i * w + f0, state[u0], (size_t)(f1 - f0));
+            }
+        }
+    }
+}
+
+/* restore_body's bits by the bound: see above. Returns 0, or -1 with
+ * nothing written if the scratch cannot be allocated. */
+BODY long restore_bits(const unsigned char *pixels, long h, long w, long ring, double *cur,
+                       double *nxt, double c, long substeps, long pulses, double vth,
+                       unsigned char *bits)
+{
+    const long S = substeps, rows = h + 2 * ring, cols = w + 2 * ring;
+    Tiles t = {0};
+    t.rows = rows;
+    t.cols = cols;
+    t.S = S;
+    t.bands = (rows + TILE_ROWS - 1) / TILE_ROWS;
+    t.across = (cols + TILE_COLS - 1) / TILE_COLS;
+    t.reach_r = (S + TILE_ROWS - 1) / TILE_ROWS;
+    t.reach_c = (S + TILE_COLS - 1) / TILE_COLS;
+    t.stride = t.across + 2 * t.reach_c;
+    t.tiles = (t.bands + 2 * t.reach_r) * t.stride;
+    const long offsets = (2 * t.reach_r + 1) * (2 * t.reach_c + 1);
+    const size_t doubles = (size_t)(S + 1 + offsets + 3 * t.tiles);
+    const size_t int32s = (size_t)(2 * t.tiles + t.bands);
+    const size_t bytes = (size_t)(t.tiles + t.across * TILE_COLS);
+    Scratch scratch = {0};
+    double *g = room(&scratch, doubles * sizeof(double) + int32s * sizeof(int32_t) + bytes);
+    if (g == NULL || free_peaks(c, S, g) != 0) {
+        free(scratch.p);
+        return -1;
+    }
+    t.weight = g + S + 1;
+    t.ones = t.weight + offsets;
+    t.zeros = t.ones + t.tiles;
+    t.m = t.zeros + t.tiles;
+    t.level = (int32_t *)(t.m + t.tiles);
+    t.row_level = t.level + t.tiles;
+    t.nearest = t.row_level + t.tiles;
+    t.state = (unsigned char *)(t.nearest + t.bands);
+    t.sum = t.state + t.tiles;
+    /* the padding, and the sums' ring columns, stay 0 */
+    memset(t.ones, 0, 3 * (size_t)t.tiles * sizeof *t.ones);
+    memset(t.state, 0, bytes);
+    const double delta = 1e-12 * (double)(S + 1);
+    for (long dr = -t.reach_r; dr <= t.reach_r; dr++)
+        for (long dc = -t.reach_c; dc <= t.reach_c; dc++) {
+            const long gr = tile_gap(dr, TILE_ROWS), gc = tile_gap(dc, TILE_COLS);
+            t.weight[(dr + t.reach_r) * (2 * t.reach_c + 1) + dc + t.reach_c]
+                = g[gr > gc ? gr : gc] + delta;
+        }
+    for (long b = 0; b < t.bands; b++) {
+        const long r0 = b * TILE_ROWS, r1 = clamp(r0 + TILE_ROWS, 0, rows) - 1;
+        if (r1 < ring || r0 >= ring + h)
+            continue;
+        for (long u = 0; u < t.across; u++) {
+            const long c0 = u * TILE_COLS, c1 = clamp(c0 + TILE_COLS, 0, cols) - 1;
+            if (c1 >= ring && c0 < ring + w)
+                t.m[at(&t, b) + u] = (r0 <= S || r1 >= rows - 1 - S ? 2.0 : 1.0)
+                                     * (c0 <= S || c1 >= cols - 1 - S ? 2.0 : 1.0);
+        }
+    }
+    for (long p = 0; p < pulses; p++) {
+        /* the pulse reads its bits before sense overwrites them */
+        const unsigned char *in = p == 0 ? pixels : bits;
+        const double *grid = cur;
+        if (decide(&t, in, h, w, ring, vth, delta) > 0) {
+            spread(&t);
+            load(&t, cur, in, h, w, ring);
+            grid = diffuse(&t, cur, nxt, c);
+        }
+        sense(&t, grid, bits, h, w, ring, vth);
+    }
+    free(scratch.p);
+    return 0;
+}
+
+/* The fewest substeps for which restore_bits runs. With fewer, a tile's
+ * reach, rounded up to whole tiles, holds many times the cells that a cell's
+ * own window does, so the bound decides few tiles on a noisy frame: at 1 and
+ * 2 substeps a noisy 320x240 frame took 121 and 117 us on the bound path
+ * against 82 and 119 us on restore_body (AVX-512F build). */
+enum { LEAST_SUBSTEPS = 3 };
+
+/* The restore of cramsim_restore: bits by the bound where the analog grid
+ * is not needed, there is diffusion, there are at least LEAST_SUBSTEPS
+ * substeps and both grid sides are at least 2 substeps + 2 (and the scratch
+ * can be allocated), else restore_body. */
+BODY long restore_either(const unsigned char *pixels, long h, long w, long ring, double *cur,
+                         double *nxt, double c, long substeps, long pulses, double vth,
+                         unsigned char *bits, long analog)
+{
+    if (!analog && c > 0.0 && substeps >= LEAST_SUBSTEPS
+        && substeps <= (h + 2 * ring - 2) / 2 && substeps <= (w + 2 * ring - 2) / 2
+        && restore_bits(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits) == 0)
+        return 0;
+    return restore_body(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits);
+}
+
 /* One build of the restore, compiled with the given function attributes. */
 #define VARIANT(name, attributes)                                                             \
     attributes static long restore_##name(const unsigned char *pixels, long h, long w,       \
                                           long ring, double *cur, double *nxt, double c,     \
                                           long substeps, long pulses, double vth,            \
-                                          unsigned char *bits)                               \
+                                          unsigned char *bits, long analog)                  \
     {                                                                                         \
-        return restore_body(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits);    \
+        return restore_either(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits,   \
+                              analog);                                                        \
     }
 
 VARIANT(baseline, )
@@ -167,21 +603,28 @@ long cramsim_variants(void)
  * plane into cur inside a ring of zeros (first the h x w pixels, one byte
  * each, 0 or 1, then the bits the pulse before sensed), runs substeps
  * substeps at coupling c (none if c is 0), and senses the frame's cells
- * into bits, 1 byte each, set where the voltage exceeds vth. nxt is only
- * ever written by a substep, which sets every grid cell of it. Returns 1 if
- * the last pulse's analog grid is in nxt, else 0 (it is in cur).
+ * into bits, 1 byte each, set where the voltage exceeds vth.
+ *
+ * If analog is nonzero, nxt is only ever written by a substep, which sets
+ * every grid cell of it, and the call returns 1 if the last pulse's analog
+ * grid is in nxt, else 0 (it is in cur). If analog is 0, only the bits are
+ * wanted: most of them may come from restore_bits's bound, the call
+ * returns 0, and the grid cells of both buffers hold nothing of use. The
+ * borders are never written.
  */
 long cramsim_restore(long variant, const unsigned char *pixels, long h, long w, long ring,
                      double *cur, double *nxt, double c, long substeps, long pulses, double vth,
-                     unsigned char *bits)
+                     unsigned char *bits, long analog)
 {
     /* variant number variant, or the baseline if this CPU cannot run it */
 #ifdef AVX512F_VARIANT
     if (variant == 1 && cramsim_variants() == 2)
-        return restore_avx512f(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits);
+        return restore_avx512f(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits,
+                               analog);
 #endif
     (void)variant;
-    return restore_baseline(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits);
+    return restore_baseline(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits,
+                            analog);
 }
 
 /* The set pixels still inside a candidate: row, column and owning candidate. */
@@ -189,24 +632,6 @@ typedef struct {
     int32_t *row, *col, *owner;
     long n;
 } Points;
-
-/* A buffer that grows to what one step of the search needs. Growing it
- * discards its contents, which no step reads back. */
-typedef struct {
-    void *p;
-    size_t size;
-} Scratch;
-
-/* Room for size bytes, or NULL if it cannot be allocated. */
-static void *room(Scratch *s, size_t size)
-{
-    if (s->p == NULL || size > s->size) {
-        free(s->p);
-        s->size = size > 0 ? size : 1;
-        s->p = malloc(s->size);
-    }
-    return s->p;
-}
 
 /* One pass of the search: project every candidate onto one axis, split on its runs.
  *

@@ -2,7 +2,7 @@
 
 ``COMMANDS`` declares each command once: its help, its own arguments and
 its handler. The command name comes first; the command's own parser reads
-the rest intermixed, so inputs, ``--config FILE``, ``--out DIR`` and
+the rest in one pass, so inputs, ``--config FILE``, ``--out DIR`` and
 ``--section.key value`` overrides go in any order. Options are spelled in
 full (``--key=value`` if the value starts with ``-``), and a usage error is
 one ``cram-sim: error:`` line with exit code 2. Outputs go under ``--out``
@@ -338,9 +338,32 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
         for key in known_keys():
             parser.add_argument(f"--{key}", dest=key, default=argparse.SUPPRESS,
                                 help=argparse.SUPPRESS)
-    # parse_intermixed_args formats the usage on every call unless it is set
-    parser.usage = parser.format_usage().removeprefix("usage: ").rstrip()
     return parser
+
+
+def _parse_arguments(name: str, argv: list[str]) -> argparse.Namespace:
+    """The command's arguments, read in one pass.
+
+    If the command takes inputs, the tokens left over after the first run of
+    them are further inputs up to the first option among them (as argparse
+    reads it), or all of them but a "--", which ends the options. Any others
+    are a usage error that names them all.
+    """
+    parser = _command_parser(name)
+    args, extra = parser.parse_known_args(argv)
+    if extra and "inputs" in COMMANDS[name].arguments:
+        n = 0
+        while n < len(extra) and extra[n] != "--" and parser._parse_optional(extra[n]) is None:
+            n += 1
+        if extra[n:n + 1] == ["--"]:
+            args.inputs += extra[:n] + extra[n + 1:]
+            extra = []
+        else:
+            args.inputs += extra[:n]
+            extra = extra[n:]
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _one_line(message: str) -> str:
@@ -353,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         name = _top_parser().parse_args(argv[:1]).command
-        args = _command_parser(name).parse_intermixed_args(argv[1:])
+        args = _parse_arguments(name, argv[1:])
         cfg = None
         if COMMANDS[name].configured:
             if not args.out:

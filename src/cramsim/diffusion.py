@@ -15,6 +15,19 @@ AVX-512F build where this CPU has it and in the baseline build otherwise,
 chosen once per process from what the library reports; the same loop over
 `_Stencil`'s numpy steps is the fallback, with the same bits.
 `diffuse_substep` and the probe run the numpy kernel.
+
+`restore_image` wants only the bits, and the compiled kernel then takes
+most of them from a charge bound: a pulse of S substeps leaves each cell
+at a weighted sum of the bits within S cells of it, with weights that sum
+to 1 and each at most m times the free-space kernel's largest value at
+that distance or beyond (m is 1, 2 or 4, doubling on each axis where the
+cell is within S of the reflecting edge). Where the bound puts a whole
+tile of cells on one side of vth, with a margin far above the rounding,
+its bits are written without diffusing it, and the substeps run only near
+the tiles still in doubt, so the bits are those of the full train. The
+full train runs for `apply_pulses`, which returns every voltage, and when
+amplitude is 0, S is under 3, or a side of the grid (frame and ring) is
+under 2S + 2.
 """
 
 from __future__ import annotations
@@ -151,14 +164,19 @@ class _Stencil:
         """A copy of the voltages that later use of the stencil leaves alone."""
         return AnalogState(self.grid.copy(), ring)
 
-    def pulse_train(self, frame: BinaryFrame, cfg: DiffusionConfig) -> np.ndarray:
+    def pulse_train(self, frame: BinaryFrame, cfg: DiffusionConfig, analog: bool) -> np.ndarray:
         """Run cfg's pulse train on the frame; returns the last pulse's bits.
 
         Each pulse loads a bit plane inside a ring of zeros, the frame's
         pixels and then the bits the pulse before sensed, diffuses it (not at
-        all if amplitude == 0) and senses its cells at cfg.vth; the last
-        pulse's charges stay in the stencil. The compiled kernel (`_ckernel`)
-        runs the train in one call; without it, the numpy loop below does.
+        all if amplitude == 0) and senses its cells at cfg.vth. With analog,
+        the last pulse's charges stay in the stencil. The compiled kernel
+        (`_ckernel`) runs the train in one call; without it, the numpy loop
+        below does.
+
+        Without analog, the compiled kernel may take most bits from the
+        charge bound of the module docstring instead, with the same bits,
+        and leaves the grid's charges unspecified.
         """
         ring, vth, c = cfg.ring, cfg.vth, cfg.coupling
         kernels = _ckernel.kernels()
@@ -166,7 +184,7 @@ class _Stencil:
             bits = np.empty(frame.pixels.shape, np.uint8)
             if kernels.restore(frame.pixels.ctypes.data, *bits.shape, ring, self._cur.ctypes.data,
                                self._nxt.ctypes.data, c, cfg.substeps_per_pulse, cfg.pulses,
-                               vth, bits.ctypes.data):
+                               vth, bits.ctypes.data, analog):
                 self._cur, self._nxt = self._nxt, self._cur
             return bits
         bits = frame.pixels
@@ -233,7 +251,7 @@ def threshold_restore(state: AnalogState, cfg: DiffusionConfig) -> BinaryFrame:
 def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig) -> AnalogState:
     """Run the configured pulse train on a frame; the final pulse stays analog."""
     stencil = _stencil(frame.pixels.shape, cfg.ring)
-    stencil.pulse_train(frame, cfg)
+    stencil.pulse_train(frame, cfg, analog=True)
     return stencil.state(cfg.ring)
 
 
@@ -241,9 +259,14 @@ def restore_image(frame: BinaryFrame, cfg: DiffusionConfig) -> BinaryFrame:
     """Full restoration: the bits the pulse train's last pulse senses at cfg.vth.
 
     At the default config this removes every 4-isolated 1-pixel and fills any
-    fully enclosed single-pixel hole in a solid block of 5x5 or larger.
+    fully enclosed single-pixel hole in a solid block of 5x5 or larger. The
+    compiled kernel decides most bits from the charge bound of the module
+    docstring and diffuses only near the tiles it leaves in doubt; the bits
+    are those of the full pulse train, which runs where the bound does not
+    apply.
     """
-    return BinaryFrame(_stencil(frame.pixels.shape, cfg.ring).pulse_train(frame, cfg))
+    stencil = _stencil(frame.pixels.shape, cfg.ring)
+    return BinaryFrame(stencil.pulse_train(frame, cfg, analog=False))
 
 
 def _check_max_ones(max_ones: int) -> None:

@@ -19,6 +19,8 @@ from .errors import ConfigError
 from .grid import DEFAULT_HEIGHT, DEFAULT_WIDTH, MAX_DIM, BinaryFrame
 from .projection import Box, _sort_key
 
+MAX_FRAMES = 10**5  # the most scenes in one corpus: `cram-sim synth` numbers them in 5 digits
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -139,7 +141,7 @@ def generate_scene(cfg: SynthConfig, seed: int | None = None) -> Scene:
 
 def generate_corpus(cfg: SynthConfig, n_frames: int) -> list[Scene]:
     """n_frames scenes with per-frame seeds derived from cfg.seed."""
-    if n_frames < 1:
-        raise ConfigError("n_frames must be >= 1")
+    if not 1 <= n_frames <= MAX_FRAMES:
+        raise ConfigError(f"n_frames must be in [1, {MAX_FRAMES}], got {n_frames}")
     root = np.random.SeedSequence(cfg.seed)
     return [generate_scene(cfg, seed=child) for child in root.spawn(n_frames)]

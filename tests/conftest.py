@@ -1,9 +1,12 @@
 import atexit
+import ctypes
 import os
 import shutil
+import subprocess
 import tempfile
 from contextlib import contextmanager
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,25 @@ atexit.register(shutil.rmtree, _CACHE, ignore_errors=True)
 
 needs_cc = pytest.mark.skipif(shutil.which(_ckernel._CC) is None,
                               reason="no C compiler on PATH to build the kernels")
+
+# The sanitizer lane: under AddressSanitizer (gcc's libasan and libubsan preloaded, with
+# ASAN_OPTIONS=detect_leaks=0), the kernels are built instrumented into this session's
+# cache, under the name the package's own build would get, before anything loads them.
+SANITIZE_FLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined",
+                  "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _build_sanitized_kernels() -> None:
+    if not hasattr(ctypes.CDLL(None), "__asan_init"):
+        return
+    cache = Path(_CACHE) / "cramsim"
+    cache.mkdir(mode=0o700)
+    subprocess.run([_ckernel._CC, *SANITIZE_FLAGS, "-o",
+                    str(cache / f"kernel-{_ckernel._build_key()}.so"), str(_ckernel._SOURCE)],
+                   check=True)
+
+
+_build_sanitized_kernels()
 
 
 def _compiled_kernels() -> tuple[str, ...]:
@@ -49,6 +71,22 @@ def kernel_in_use(kernel: str):
         raise AssertionError(f"{kernel} kernel: {exc}") from exc
     finally:
         _ckernel._kernels = saved
+
+
+def mutate(data: bytes, edits) -> bytes:
+    """Apply (position, op, byte) edits in turn: replace, insert or delete one byte, or
+    truncate, at position modulo the length so far plus one."""
+    for position, op, byte in edits:
+        at = position % (len(data) + 1)
+        if op == "replace" and at < len(data):
+            data = data[:at] + bytes([byte]) + data[at + 1:]
+        elif op == "insert":
+            data = data[:at] + bytes([byte]) + data[at:]
+        elif op == "delete":
+            data = data[:at] + data[at + 1:]
+        elif op == "truncate":
+            data = data[:at]
+    return data
 
 
 def frame_of(art: str) -> BinaryFrame:

@@ -185,7 +185,7 @@ def test_widest_variant_runs_and_unrunnable_numbers_run_the_baseline():
         swapped = loaded.restore.func(number, frame.pixels.ctypes.data, 9, 13, 1,
                                       cur.ctypes.data, nxt.ctypes.data, cfg.coupling,
                                       cfg.substeps_per_pulse, cfg.pulses, cfg.vth,
-                                      bits.ctypes.data)
+                                      bits.ctypes.data, 1)
         return swapped, (nxt if swapped else cur).tobytes(), bits.tobytes()
 
     baseline = restore(0)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mutate
 from cramsim.cli import MAX_THREADS, main, worker_count
 from cramsim.config import RunConfig, known_keys, load_config, parse_config_text, set_key
 from cramsim.diffusion import DiffusionConfig
@@ -265,10 +266,10 @@ def test_restore_emit_analog_runs_pulse_train_once(tmp_path, corpus, monkeypatch
     lock = threading.Lock()
     kernel = diffusion._Stencil.pulse_train
 
-    def counted(self, frame, cfg):
+    def counted(self, frame, cfg, analog):
         with lock:
             runs.append(cfg.pulses * cfg.substeps_per_pulse)
-        return kernel(self, frame, cfg)
+        return kernel(self, frame, cfg, analog)
 
     monkeypatch.setattr(diffusion._Stencil, "pulse_train", counted)
     plain, analog = tmp_path / "plain", tmp_path / "analog"
@@ -557,6 +558,9 @@ def test_knobs_of_a_stage_that_does_not_run_cannot_fail_it(tmp_path, corpus, com
     (["eval", "CORPUS", "--eval.sweep_amplitudes", "1", "--eval.sweep_substeps", str(2**31)], 2),
     # more objects than a frame has pixels
     (["synth", "--synth.objects_max", str(10**20)], 2),
+    # a corpus past five-digit frame numbers; 2**63 overflowed numpy's seed spawning
+    (["synth", "--synth.frames", "100001"], 2),
+    (["synth", "--synth.frames", str(2**63)], 2),
 ])
 def test_failed_command_leaves_no_out_directory(tmp_path, capsys, monkeypatch, command, code):
     from cramsim import cli, oracle
@@ -583,6 +587,32 @@ def test_failed_command_leaves_no_out_directory(tmp_path, capsys, monkeypatch, c
     assert len(err) == 1 and err[0].startswith("cram-sim: error: ")
     assert not out.exists()
 
+
+
+def test_inputs_after_options_and_leftover_options(tmp_path, capsys):
+    """One parser pass: inputs after an option join the first ones, and after a "--" so does
+    a name that starts with "-"; a leftover option, or any leftover on a command without
+    inputs, is a usage error that names the leftovers, as a second pass would."""
+    frames = {}
+    for name in ("a", "b", "-c"):
+        frames[name] = tmp_path / f"{name}.pbm"
+        frames[name].write_bytes(frame_to_bytes(BinaryFrame.zeros(8, 8)))
+    out = tmp_path / "x"
+    a, b, c = (str(frames[name]) for name in ("a", "b", "-c"))
+    assert run_cli("propose", a, "--out", str(out), b) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["a.boxes.json", "b.boxes.json", "cycles.csv"]
+    assert run_cli("propose", a, "--out", str(tmp_path / "y"), "--", c) == 0
+    assert sorted(p.name for p in (tmp_path / "y").iterdir()) == [
+        "-c.boxes.json", "a.boxes.json", "cycles.csv"]
+    capsys.readouterr()
+    for argv, leftovers in (
+            (["propose", a, "--out", str(tmp_path / "z"), b, "--bogus"], "--bogus"),
+            (["propose", a, "--bogus", "--out", str(tmp_path / "z"), b], "--bogus " + b),
+            (["probe", "extra", "--out", str(tmp_path / "z")], "extra"),
+            (["eval", str(tmp_path), "more", "--out", str(tmp_path / "z")], "more")):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"cram-sim: error: unrecognized arguments: {leftovers}\n"
+        assert not (tmp_path / "z").exists()
 
 def test_propose_skips_directory_named_pbm(tmp_path):
     frames = tmp_path / "frames"
@@ -769,20 +799,6 @@ FUZZ_FILES = {
 }
 
 
-def _mutate(data: bytes, edits) -> bytes:
-    for position, op, byte in edits:
-        at = position % (len(data) + 1)
-        if op == "replace" and at < len(data):
-            data = data[:at] + bytes([byte]) + data[at + 1:]
-        elif op == "insert":
-            data = data[:at] + bytes([byte]) + data[at:]
-        elif op == "delete":
-            data = data[:at] + data[at + 1:]
-        elif op == "truncate":
-            data = data[:at]
-    return data
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     command=st.sampled_from(["eval", "propose"]),
@@ -800,7 +816,7 @@ def test_corrupt_inputs_fail_with_one_error_line(command, edits):
         root = Path(tmp)
         (root / "corpus").mkdir()
         for name, data in FUZZ_FILES.items():
-            (root / name).write_bytes(_mutate(data, edits.get(name, [])))
+            (root / name).write_bytes(mutate(data, edits.get(name, [])))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([command, str(root / "corpus"), "--config", str(root / "run.cfg"),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import diffusion_reference as reference
 from conftest import KERNELS, frame_of, kernel_in_use, needs_cc
@@ -191,6 +192,164 @@ def test_cells_at_exactly_vth_restore_to_0():
 
 def random_frame(rng: np.random.Generator, shape: tuple[int, int]) -> BinaryFrame:
     return BinaryFrame((rng.random(shape) < 0.4).astype(np.uint8))
+
+
+# --- edges of both restore paths, and the bound path of the compiled restore
+
+
+def edge_shape(kind: str, side: int, substeps: int, ring: int) -> tuple[int, int]:
+    """A frame shape of one kind: 1 x side, side x 1, one pixel, or a frame whose grid
+    sides (the ring included) are 2 substeps + 1 or 2 substeps + 2, where the compiled
+    restore starts to take its bound path."""
+    if kind == "row":
+        return 1, side
+    if kind == "column":
+        return side, 1
+    if kind == "pixel":
+        return 1, 1
+    switch = 2 * substeps + 1 + side % 2 - 2 * ring
+    return max(switch, 1), max(switch + side % 3 - 1, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["row", "column", "pixel", "switch"]),
+    side=st.integers(1, 30),
+    seed=st.integers(0, 10**6),
+    ring=st.integers(0, 4),
+    cfg=st.builds(DiffusionConfig, alpha=st.floats(0.05, 0.25),
+                  substeps_per_pulse=st.integers(1, 9),
+                  amplitude=st.sampled_from([0.0, 0.5, 1.0]), pulses=st.integers(1, 3),
+                  vth=st.floats(0.05, 0.95)),
+)
+def test_edge_frames_match_reference(kind, side, seed, ring, cfg):
+    """1xN, Nx1 and one-pixel frames, grids one cell either side of where the bound path
+    starts, rings up to 4 (wider than the frame too), 1 to 3 pulses, 1 to 9 substeps and
+    amplitude 0: every kernel's charges and bits equal the reference's."""
+    shape = edge_shape(kind, side, cfg.substeps_per_pulse, ring)
+    frame = BinaryFrame((np.random.default_rng(seed).random(shape) < 0.5).astype(np.uint8))
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            assert_matches_reference(frame, cfg, ring)
+
+
+def block_frame(rng: np.random.Generator, shape: tuple[int, int], density: float) -> BinaryFrame:
+    """Salt noise with up to three solid rectangles over it."""
+    pixels = (rng.random(shape) < density).astype(np.uint8)
+    for _ in range(int(rng.integers(0, 4))):
+        r, c = int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1]))
+        pixels[r:r + int(rng.integers(1, 24)), c:c + int(rng.integers(1, 24))] = 1
+    return BinaryFrame(pixels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    extra=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+    density=st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9]),
+    ring=st.integers(0, 4),
+    cfg=st.builds(DiffusionConfig, alpha=st.floats(0.01, 0.25),
+                  substeps_per_pulse=st.integers(1, 12), amplitude=st.sampled_from([0.5, 1.0]),
+                  pulses=st.integers(1, 3), vth=st.floats(0.05, 0.95)),
+)
+def test_bound_path_matches_reference(seed, extra, density, ring, cfg):
+    """On grids of at least 2S + 2 cells a side, restore_image takes most bits from the
+    charge bound; they equal the reference's. Each case runs on a thread that has just
+    restored a frame of another size and then one of this size at other values, so the
+    workspace holds stale charges everywhere."""
+    rng = np.random.default_rng(seed)
+    least = max(2 * cfg.substeps_per_pulse + 2 - 2 * ring, 1)
+    shape = (least + extra[0], least + extra[1])
+    frame = block_frame(rng, shape, density)
+    cfg = replace(cfg, ring=ring)
+    want = reference.restore_image(frame, cfg, ring).pixels
+    other = replace(cfg, substeps_per_pulse=cfg.substeps_per_pulse % 5 + 1,
+                    vth=1.0 - cfg.vth, pulses=cfg.pulses % 3 + 1)
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            restore_image(block_frame(rng, (shape[0] + 1, shape[1]), 0.3), cfg)
+            restore_image(block_frame(rng, shape, 0.5), other)
+            assert_same_bits(restore_image(frame, cfg).pixels, want)
+
+
+def test_bound_path_senses_cells_exactly_at_vth():
+    """At coupling 0.25, one to three substeps leave cells of this 9x20 frame at exactly
+    0.5 (five of them at three substeps, where the bound path runs), and the bound never
+    decides such a cell: every kernel senses it as 0, as the reference does."""
+    rows = [[1, 0, 1, 0, 0] * 4, [0, 1, 0, 0, 1] * 4, [1, 1, 0, 1, 0] * 4] * 3
+    frame = BinaryFrame(np.array(rows, np.uint8))
+    for substeps in (1, 2, 3):
+        cfg = DiffusionConfig(alpha=0.25, substeps_per_pulse=substeps, vth=0.5, ring=0)
+        volts = reference.apply_pulses(frame, cfg, 0).volts
+        want = reference.restore_image(frame, cfg, 0).pixels
+        assert (volts == 0.5).sum() >= 5
+        for kernel in KERNELS:
+            with kernel_in_use(kernel):
+                assert_same_bits(restore_image(frame, cfg).pixels, want)
+
+
+def touched_cells(frame: BinaryFrame, cfg: DiffusionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The compiled bits-only restore on buffers whose grid cells start as NaN: its bits,
+    and per buffer the grid cells that hold a number afterwards."""
+    h, w = frame.pixels.shape
+    rows, cols = h + 2 * cfg.ring, w + 2 * cfg.ring
+    cur, nxt = np.zeros((rows + 2, cols + 2)), np.zeros((rows + 2, cols + 2))
+    cur[1:-1, 1:-1] = nxt[1:-1, 1:-1] = np.nan
+    bits = np.empty((h, w), np.uint8)
+    swapped = _ckernel.kernels().restore(frame.pixels.ctypes.data, h, w, cfg.ring,
+                                         cur.ctypes.data, nxt.ctypes.data, cfg.coupling,
+                                         cfg.substeps_per_pulse, cfg.pulses, cfg.vth,
+                                         bits.ctypes.data, 0)
+    assert swapped == 0
+    for buffer in (cur, nxt):  # the borders stay 0
+        assert not buffer[[0, -1]].any() and not buffer[:, [0, -1]].any()
+    return bits, np.stack([~np.isnan(b[1:-1, 1:-1]) for b in (cur, nxt)])
+
+
+def within(mask: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The cells at most rows rows and cols columns from a cell of mask."""
+    return ndimage.binary_dilation(mask, np.ones((2 * rows + 1, 2 * cols + 1), bool))
+
+
+@needs_cc
+def test_bound_decides_blank_speck_and_block_frames():
+    """All-zero and lone-speck frames load and diffuse no cell. Around a solid block, only
+    tiles (4 x 8 cells) whose reach, the tile grown by S rounded up to whole tiles, meets
+    the block's border are in doubt, and the cells loaded and diffused for them lie within
+    S more cells (rounded up to tiles) of those. Every tile with cells on both sides of the
+    border is in doubt, and no cell in doubt senses one of the stale NaNs."""
+    cfg = DiffusionConfig()
+    specks = BinaryFrame.zeros(96, 64)
+    specks.pixels[5::20, 7::24] = 1
+    for frame in (BinaryFrame.zeros(96, 64), specks):
+        bits, touched = touched_cells(frame, cfg)
+        assert not bits.any() and not touched.any()
+
+    # At 5 and 9 substeps a band of tiles can lie exactly S cells from the nearest
+    # undecided one; inside a stripe as wide as the frame, its cells reach the stripe's
+    # undecided cells that sense 1.
+    for substeps, ring, (h, w), (r0, r1, c0, c1) in (
+            (3, 1, (64, 96), (21, 45, 29, 70)), (3, 0, (64, 96), (8, 40, 3, 90)),
+            (4, 3, (40, 50), (4, 36, 11, 12)), (5, 1, (64, 96), (21, 45, 29, 70)),
+            (5, 0, (64, 96), (16, 48, 0, 96)), (8, 1, (160, 200), (30, 130, 30, 170)),
+            (9, 1, (160, 200), (31, 129, 27, 170)), (9, 0, (120, 120), (36, 84, 0, 120))):
+        frame = BinaryFrame.zeros(w, h)
+        frame.pixels[r0:r1, c0:c1] = 1
+        cfg = DiffusionConfig(substeps_per_pulse=substeps, ring=ring)
+        bits, touched = touched_cells(frame, cfg)
+        assert_same_bits(bits, reference.restore_image(frame, cfg, ring).pixels)
+        block = np.pad(frame.pixels, ring).astype(bool)
+        border = block ^ ndimage.binary_erosion(block, border_value=1)  # cells next to a 0
+        border |= ndimage.binary_dilation(block) & ~block  # and the 0s next to the block
+        rows, cols = 4 * -(-substeps // 4) + 3, 8 * -(-substeps // 8) + 7  # a tile's reach
+        touched = touched.any(axis=0)
+        assert not (touched & ~within(border, 2 * rows, 2 * cols)).any()
+        assert touched.mean() < 0.75
+        # the tiles that hold cells on both sides of the border: all loaded
+        tiles = np.pad(block, ((0, -len(block) % 4), (0, -block.shape[1] % 8)))
+        tiles = tiles.reshape(tiles.shape[0] // 4, 4, -1, 8)
+        mixed = np.kron(tiles.any(axis=(1, 3)) & ~tiles.all(axis=(1, 3)), np.ones((4, 8), bool))
+        assert touched[mixed[:len(block), :block.shape[1]]].all()
 
 
 def test_one_call_restore_matches_numpy_and_reference():

@@ -375,6 +375,27 @@ def test_batched_search_matches_reference(shape, density, seed, dac_code, max_it
     assert_same_search(BinaryFrame(pixels), cfg)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=st.sampled_from(["row", "column", "pixel"]).flatmap(
+        lambda kind: st.just((1, 1)) if kind == "pixel" else st.integers(1, 40).map(
+            lambda n: (1, n) if kind == "row" else (n, 1))),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10**6),
+    past_clamp=st.integers(0, 3),
+    data=st.data(),
+)
+def test_thin_frames_match_reference_at_every_dac_code(shape, density, seed, past_clamp, data):
+    """1xN, Nx1 and one-pixel frames, at every DAC code, with max_iters from 2 up to the
+    compiled search's clamp of 2 * (set pixels) + 2 and a few past it."""
+    pixels = (np.random.default_rng(seed).random(shape) < density).astype(np.uint8)
+    clamp = 2 * int(pixels.sum()) + 2
+    max_iters = data.draw(st.integers(2, clamp)) + past_clamp
+    for code in range(DAC_MAX + 1):
+        cfg = RpConfig(max_iters=max_iters, projection=ProjectionConfig(dac_code=code))
+        assert_same_search(BinaryFrame(pixels), cfg)
+
+
 def test_iss_ignores_ones_on_lines_that_did_not_trip():
     """At dac_code 12 a line needs two 1s: the lone 1 in row 0 must not trip column 1."""
     f = frame_of(
