@@ -3,8 +3,10 @@
 The session is criterion 8's 64x64 one, a restore at 3 pulses with a ring
 of 2, a restore at 2 pulses of 3 substeps with no ring (an odd count, so
 each pulse ends in the other buffer), a restored `propose` at those
-settings, `propose`, raw and restored, on three noisy 320x240 frames, and
-an `eval` of the unconsolidated search boxes on both corpora. A refactor
+settings, restored `propose` runs at 2 substeps and at amplitude 0 (where
+the charge bound of the compiled restore does not apply), `propose`, raw
+and restored, on three noisy 320x240 frames, and an `eval` of the
+unconsolidated search boxes on both corpora. A refactor
 must leave every file byte-identical, under every kernel and worker count.
 After a deliberate change of the outputs, record the hashes again with
 `PYTHONPATH=src python tests/test_golden_trees.py`.
@@ -41,6 +43,10 @@ def session_hashes(root: Path) -> dict[str, str]:
         ["propose", small, "--out", str(root / "boxes_restored_p2_s3_r0"),
          "--propose.restore", "true", "--diffusion.pulses", "2",
          "--diffusion.substeps_per_pulse", "3", "--frame.ring", "0"],
+        ["propose", small, "--out", str(root / "boxes_restored_s2"),
+         "--propose.restore", "true", "--diffusion.substeps_per_pulse", "2"],
+        ["propose", small, "--out", str(root / "boxes_restored_a0"),
+         "--propose.restore", "true", "--diffusion.amplitude", "0"],
         ["eval", small, "--out", str(root / "scores"),
          "--eval.sweep_amplitudes", "0.5,1.0", "--eval.sweep_substeps", "4,8"],
         ["eval", small, "--out", str(root / "scores_raw"), "--pipeline.consolidate", "false"],
