@@ -1,18 +1,22 @@
 """The compiled kernels: `_kernel.c`, built with the system C compiler on first use.
 
-The library holds one call per pipeline stage: a whole restoration (used by
-``diffusion.restore_image``, which wants only the bits, and ``apply_pulses``,
-which wants every voltage) and the projection search
-(used by ``projection.iss``). It is built or loaded once per process on the
+The library holds one call per pipeline stage: a whole restoration, one loop
+over tiles of cells (used by ``diffusion.restore_image``, which wants only
+the bits, so that a charge bound decides most tiles, and by
+``apply_pulses``, which wants every voltage, so that every tile is in doubt,
+as it is wherever the bound does not apply), and the projection search (used
+by ``projection.iss``). The restore declines with -1 when it cannot allocate
+its scratch, as the search does for a frame it cannot take, and the caller
+then runs its numpy kernel. It is built or loaded once per process on the
 first call to :func:`kernels`, and cached per user under
 ``$XDG_CACHE_HOME/cramsim`` (``~/.cache/cramsim`` by default), in a file
 named by a hash of the source, the compiler flags and the machine type, so
 an edited source or another architecture never loads a stale build; without
-a private cache it is built in a temporary directory, removed once the library
-is loaded. If it cannot be built or loaded, or lacks one of the kernels, for
-any reason, :func:`kernels` returns None for the rest of the process and the
-callers keep their numpy kernels; nothing is printed. ctypes releases the
-GIL for the length of each call.
+a private cache it is built in a temporary directory, removed once the
+library is loaded. If it cannot be built or loaded, or lacks one of the
+kernels, for any reason, :func:`kernels` returns None for the rest of the
+process and the callers keep their numpy kernels; nothing is printed. ctypes
+releases the GIL for the length of each call.
 
 On x86-64 the restore is compiled twice, a baseline and an AVX-512F build;
 the library reports how many of its builds this CPU runs, and the restore is
@@ -43,7 +47,7 @@ _COMPILE_TIMEOUT_S = 120
 class _Kernels(NamedTuple):
     # f(pixels_addr, height, width, ring, cur_addr, nxt_addr, coupling, substeps, pulses, vth,
     #   bits_addr, analog); with analog nonzero, returns 1 if the final grid is in nxt; with
-    #   analog 0 only the bits are of use, and it returns 0
+    #   analog 0 only the bits are of use, and it returns 0; -1 if it declined (no scratch)
     restore: functools.partial
     # f(pixels_addr, rows, cols, fewest, max_iters, capacity, work_addr, info_addr), a line
     # tripping at fewest enabled 1s; returns the candidate count, or -1 if it declined

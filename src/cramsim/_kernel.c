@@ -1,8 +1,9 @@
 /* The package's compiled kernels, built into one shared library by _ckernel.py.
  *
  * cramsim_restore runs a whole restoration (each pulse loads bits, diffuses
- * and senses them again; when only the bits are wanted, most of them come
- * from a charge bound instead), and cramsim_search the alternating-projection
+ * and senses them again, tile by tile; when only the bits are wanted, a
+ * charge bound decides most tiles, and every tile is in doubt where the
+ * bound does not apply), and cramsim_search the alternating-projection
  * region search: one call per pipeline stage. Each takes only
  * scalars and the caller's buffers (the search's line detector is one trip
  * count), and gives exactly the results of its numpy kernel, which stays as
@@ -33,56 +34,26 @@
 #define BODY static inline __attribute__((always_inline))
 
 /* One substep of grid row r (1 to rows) over the buffer columns j0 to j1 (1
- * to cols): the branch-free body at the row's k, then each edge column in
- * the span again at its own. */
+ * to cols): each edge column in the span at its own k, and the columns
+ * between them in one branch-free loop at the row's k. Each cell is written
+ * once; with the edge columns written after that loop instead, the whole-grid
+ * train ran about 10% slower. */
 BODY void row_substep(const double *restrict cur, double *restrict nxt, long r, long j0, long j1,
                       long rows, long cols, double c)
 {
     const long wp = cols + 2;
     const double kr = 4.0 - (r == 1) - (r == rows);
+    const double ke = cols == 1 ? kr - 2.0 : kr - 1.0;
     const double *v = cur + r * wp;
     double *out = nxt + r * wp;
-    for (long j = j0; j <= j1; j++)
-        out[j] = v[j] + c * (((v[j - wp] + v[j + wp]) + (v[j - 1] + v[j + 1])) - kr * v[j]);
-    const double ke = cols == 1 ? kr - 2.0 : kr - 1.0;
     if (j0 == 1)
         out[1] = v[1] + c * (((v[1 - wp] + v[1 + wp]) + (v[0] + v[2])) - ke * v[1]);
-    if (j1 == cols)
+    const long lo = j0 > 2 ? j0 : 2, hi = j1 < cols - 1 ? j1 : cols - 1;
+    for (long j = lo; j <= hi; j++)
+        out[j] = v[j] + c * (((v[j - wp] + v[j + wp]) + (v[j - 1] + v[j + 1])) - kr * v[j]);
+    if (j1 == cols && cols > 1)
         out[cols] = v[cols]
             + c * (((v[cols - wp] + v[cols + wp]) + (v[cols - 1] + v[cols + 1])) - ke * v[cols]);
-}
-
-BODY void substeps_body(double *restrict cur, double *restrict nxt, long rows, long cols,
-                        double c, long substeps)
-{
-    for (long s = 0; s < substeps; s++) {
-        for (long r = 1; r <= rows; r++)
-            row_substep(cur, nxt, r, 1, cols, rows, cols, c);
-        double *t = cur;
-        cur = nxt;
-        nxt = t;
-    }
-}
-
-/* Load a bit plane into a stencil buffer: the frame's h x w cells from bits,
- * one byte each, inside a ring of zeros. Each grid row is written once; the
- * border stays 0. */
-BODY void fill(double *buf, const unsigned char *bits, long h, long w, long ring)
-{
-    const long cols = w + 2 * ring, wp = cols + 2;
-    for (long r = 0; r < h + 2 * ring; r++) {
-        double *g = buf + (r + 1) * wp + 1;
-        const long i = r - ring;
-        if (i < 0 || i >= h) {
-            memset(g, 0, (size_t)cols * sizeof *g);
-            continue;
-        }
-        memset(g, 0, (size_t)ring * sizeof *g);
-        const unsigned char *px = bits + i * w;
-        for (long j = 0; j < w; j++)
-            g[ring + j] = px[j];
-        memset(g + ring + w, 0, (size_t)ring * sizeof *g);
-    }
 }
 
 /* out[j] = cell[j] > vth for n cells. gcc 12 leaves the plain loop scalar for
@@ -108,49 +79,10 @@ BODY void threshold(const double *restrict cell, unsigned char *restrict out, lo
         out[j] = cell[j] > vth;
 }
 
-/* A buffer that grows to what one step of a kernel needs. Growing it
- * discards its contents, which no step reads back. */
-typedef struct {
-    void *p;
-    size_t size;
-} Scratch;
-
-/* Room for size bytes, or NULL if it cannot be allocated. */
-static void *room(Scratch *s, size_t size)
-{
-    if (s->p == NULL || size > s->size) {
-        free(s->p);
-        s->size = size > 0 ? size : 1;
-        s->p = malloc(s->size);
-    }
-    return s->p;
-}
-
-/* The whole restoration of diffusion.restore_image, substeps inlined; see cramsim_restore. */
-BODY long restore_body(const unsigned char *pixels, long h, long w, long ring, double *cur,
-                       double *nxt, double c, long substeps, long pulses, double vth,
-                       unsigned char *bits)
-{
-    const long rows = h + 2 * ring, cols = w + 2 * ring, wp = cols + 2;
-    double *const first = cur;
-    for (long p = 0; p < pulses; p++) {
-        fill(cur, p == 0 ? pixels : bits, h, w, ring);
-        if (c > 0.0) {
-            substeps_body(cur, nxt, rows, cols, c, substeps);
-            if (substeps % 2) {
-                double *t = cur;
-                cur = nxt;
-                nxt = t;
-            }
-        }
-        for (long i = 0; i < h; i++)
-            threshold(cur + (ring + 1 + i) * wp + ring + 1, bits + i * w, w, vth);
-    }
-    return cur != first;
-}
-
-/* The bits-only restore: the bits of restore_body, most of them decided
- * from a charge bound, with substeps run only where a bit is still in doubt.
+/* The restore. Each pulse loads a bit plane, diffuses it and senses the
+ * frame's cells, tile by tile. When only the bits are wanted, a charge
+ * bound decides most tiles, and the substeps run only where a bit is still
+ * in doubt.
  *
  * The bound. One pulse of S substeps at coupling c leaves each cell x at
  * v(x) = sum over cells p of G(x, p) b(p), b the loaded bits. A substep is
@@ -176,8 +108,14 @@ BODY long restore_body(const unsigned char *pixels, long h, long w, long ring, d
  * runs only on the tiles within S - s cells of an undecided tile, and the
  * pulse's bit plane is loaded only on those within S. Every other cell
  * holds a stale value, which moves one cell per substep and so never
- * reaches an undecided cell. The undecided cells are sensed as restore_body
- * senses them, and the decided ones written whole.
+ * reaches an undecided cell. The undecided cells are sensed at vth, and the
+ * decided ones written whole.
+ *
+ * Where the bound does not apply, every tile is in doubt: at level 0, so
+ * that each pulse loads, diffuses and senses every cell. That is where the
+ * analog grid is wanted, there is no diffusion (c = 0, taken as S = 0), S is
+ * under LEAST_SUBSTEPS, a grid side is under 2S + 2, or free_peaks cannot
+ * allocate.
  */
 enum { TILE_ROWS = 4, TILE_COLS = 8, UNDECIDED = 2 };
 
@@ -210,13 +148,19 @@ static int free_peaks(double c, long S, double *g)
         return 0;
     }
     const long n = 2 * S + 1, wp = n + 2;
-    double *cur = calloc(2 * (size_t)(wp * wp), sizeof *cur);
-    if (cur == NULL)
+    double *const grids = calloc(2 * (size_t)(wp * wp), sizeof *grids);
+    if (grids == NULL)
         return -1;
-    double *nxt = cur + wp * wp;
+    double *cur = grids, *nxt = grids + wp * wp;
     cur[(S + 1) * wp + S + 1] = 1.0;
-    substeps_body(cur, nxt, n, n, c, S);
-    const double *v = S % 2 ? nxt : cur;
+    for (long s = 0; s < S; s++) {
+        for (long r = 1; r <= n; r++)
+            row_substep(cur, nxt, r, 1, n, n, n, c);
+        double *t = cur;
+        cur = nxt;
+        nxt = t;
+    }
+    const double *v = cur;
     for (long k = 0; k <= S; k++)
         g[k] = 0.0;
     for (long r = 0; r < n; r++)
@@ -229,7 +173,7 @@ static int free_peaks(double c, long S, double *g)
     for (long k = S; k > 0; k--) /* the most at k or more */
         if (g[k] > g[k - 1])
             g[k - 1] = g[k];
-    free(cur);
+    free(grids);
     if (S <= KEPT_SUBSTEPS) {
         memcpy(kept_g, g, (size_t)(S + 1) * sizeof *g);
         kept_c = c;
@@ -238,13 +182,13 @@ static int free_peaks(double c, long S, double *g)
     return 0;
 }
 
-/* The tiles' shape, and the scratch of the bits-only restore. Tile (b, u)
- * is band b (a row of tiles), column u. The per-tile arrays hold the bands
- * inside a padding of reach_r bands above and below and reach_c columns on
- * either side, where ones, zeros and m are 0 and no tile is undecided, so
- * that an offset in reach is one shift of a whole array: tile (b, u) is at
+/* The tiles' shape, and the scratch of the restore. Tile (b, u) is band b
+ * (a row of tiles), column u. The per-tile arrays hold the bands inside a
+ * padding of reach_r bands above and below and reach_c columns on either
+ * side, where ones, zeros and m are 0 and no tile is undecided, so that an
+ * offset in reach is one shift of a whole array: tile (b, u) is at
  * at(t, b) + u. A tile's reach is the tiles at most reach_r bands and
- * reach_c columns from it. */
+ * reach_c columns from it; both are 0 where the bound is not taken. */
 typedef struct {
     long rows, cols, bands, across, S, reach_r, reach_c, stride, tiles;
     double *weight;       /* g + delta at each offset in reach, band-major */
@@ -381,10 +325,9 @@ static inline int next_run(const int32_t *level, long across, long d, long *u, l
     return 1;
 }
 
-/* Load the bits in into buf, as fill does, on the tiles at level S or less.
- * It is compiled once, outside the builds: it ran no faster inlined in the
- * AVX-512F build, which added about 0.7 s to the library's first build. */
-static void load(const Tiles *t, double *buf, const unsigned char *in, long h, long w, long ring)
+/* Load the bits in, the frame's h x w cells, one byte each, inside a ring
+ * of zeros, into buf on the tiles at level S or less. The border stays 0. */
+BODY void load(const Tiles *t, double *buf, const unsigned char *in, long h, long w, long ring)
 {
     const long wp = t->cols + 2;
     for (long b = 0; b < t->bands; b++) {
@@ -462,34 +405,43 @@ BODY void sense(const Tiles *t, const double *grid, unsigned char *bits, long h,
     }
 }
 
-/* restore_body's bits by the bound: see above. Returns 0, or -1 with
- * nothing written if the scratch cannot be allocated. */
-BODY long restore_bits(const unsigned char *pixels, long h, long w, long ring, double *cur,
-                       double *nxt, double c, long substeps, long pulses, double vth,
-                       unsigned char *bits)
+/* The fewest substeps for which the bound is taken. With fewer, a tile's
+ * reach, rounded up to whole tiles, holds many times the cells that a cell's
+ * own window does, so the bound decides few tiles on a noisy frame: at 1 and
+ * 2 substeps a noisy 320x240 frame took 121 and 117 us with the bound
+ * against 82 and 119 us diffusing every cell (AVX-512F build). */
+enum { LEAST_SUBSTEPS = 3 };
+
+/* The restore of cramsim_restore, as above: returns 1 if analog and the
+ * last pulse's grid is in nxt, else 0, or -1 with nothing written if the
+ * tiles' scratch cannot be allocated. */
+BODY long restore(const unsigned char *pixels, long h, long w, long ring, double *cur,
+                  double *nxt, double c, long substeps, long pulses, double vth,
+                  unsigned char *bits, long analog)
 {
-    const long S = substeps, rows = h + 2 * ring, cols = w + 2 * ring;
+    const long S = c > 0.0 ? substeps : 0, rows = h + 2 * ring, cols = w + 2 * ring;
+    int bound = !analog && S >= LEAST_SUBSTEPS && S <= (rows - 2) / 2 && S <= (cols - 2) / 2;
+    const long reach = bound ? S : 0;
     Tiles t = {0};
     t.rows = rows;
     t.cols = cols;
     t.S = S;
     t.bands = (rows + TILE_ROWS - 1) / TILE_ROWS;
     t.across = (cols + TILE_COLS - 1) / TILE_COLS;
-    t.reach_r = (S + TILE_ROWS - 1) / TILE_ROWS;
-    t.reach_c = (S + TILE_COLS - 1) / TILE_COLS;
+    t.reach_r = (reach + TILE_ROWS - 1) / TILE_ROWS;
+    t.reach_c = (reach + TILE_COLS - 1) / TILE_COLS;
     t.stride = t.across + 2 * t.reach_c;
     t.tiles = (t.bands + 2 * t.reach_r) * t.stride;
     const long offsets = (2 * t.reach_r + 1) * (2 * t.reach_c + 1);
-    const size_t doubles = (size_t)(S + 1 + offsets + 3 * t.tiles);
+    const size_t doubles = (size_t)(reach + 1 + offsets + 3 * t.tiles);
     const size_t int32s = (size_t)(2 * t.tiles + t.bands);
     const size_t bytes = (size_t)(t.tiles + t.across * TILE_COLS);
-    Scratch scratch = {0};
-    double *g = room(&scratch, doubles * sizeof(double) + int32s * sizeof(int32_t) + bytes);
-    if (g == NULL || free_peaks(c, S, g) != 0) {
-        free(scratch.p);
+    double *const g = malloc(doubles * sizeof(double) + int32s * sizeof(int32_t) + bytes);
+    if (g == NULL)
         return -1;
-    }
-    t.weight = g + S + 1;
+    if (bound && free_peaks(c, S, g) != 0)
+        bound = 0; /* the padding of reach S goes unused */
+    t.weight = g + reach + 1;
     t.ones = t.weight + offsets;
     t.zeros = t.ones + t.tiles;
     t.m = t.zeros + t.tiles;
@@ -498,62 +450,46 @@ BODY long restore_bits(const unsigned char *pixels, long h, long w, long ring, d
     t.nearest = t.row_level + t.tiles;
     t.state = (unsigned char *)(t.nearest + t.bands);
     t.sum = t.state + t.tiles;
-    /* the padding, and the sums' ring columns, stay 0 */
-    memset(t.ones, 0, 3 * (size_t)t.tiles * sizeof *t.ones);
-    memset(t.state, 0, bytes);
     const double delta = 1e-12 * (double)(S + 1);
-    for (long dr = -t.reach_r; dr <= t.reach_r; dr++)
-        for (long dc = -t.reach_c; dc <= t.reach_c; dc++) {
-            const long gr = tile_gap(dr, TILE_ROWS), gc = tile_gap(dc, TILE_COLS);
-            t.weight[(dr + t.reach_r) * (2 * t.reach_c + 1) + dc + t.reach_c]
-                = g[gr > gc ? gr : gc] + delta;
+    if (bound) {
+        /* the padding, and the sums' ring columns, stay 0 */
+        memset(t.ones, 0, 3 * (size_t)t.tiles * sizeof *t.ones);
+        memset(t.state, 0, bytes);
+        for (long dr = -t.reach_r; dr <= t.reach_r; dr++)
+            for (long dc = -t.reach_c; dc <= t.reach_c; dc++) {
+                const long gr = tile_gap(dr, TILE_ROWS), gc = tile_gap(dc, TILE_COLS);
+                t.weight[(dr + t.reach_r) * (2 * t.reach_c + 1) + dc + t.reach_c]
+                    = g[gr > gc ? gr : gc] + delta;
+            }
+        for (long b = 0; b < t.bands; b++) {
+            const long r0 = b * TILE_ROWS, r1 = clamp(r0 + TILE_ROWS, 0, rows) - 1;
+            if (r1 < ring || r0 >= ring + h)
+                continue;
+            for (long u = 0; u < t.across; u++) {
+                const long c0 = u * TILE_COLS, c1 = clamp(c0 + TILE_COLS, 0, cols) - 1;
+                if (c1 >= ring && c0 < ring + w)
+                    t.m[at(&t, b) + u] = (r0 <= S || r1 >= rows - 1 - S ? 2.0 : 1.0)
+                                         * (c0 <= S || c1 >= cols - 1 - S ? 2.0 : 1.0);
+            }
         }
-    for (long b = 0; b < t.bands; b++) {
-        const long r0 = b * TILE_ROWS, r1 = clamp(r0 + TILE_ROWS, 0, rows) - 1;
-        if (r1 < ring || r0 >= ring + h)
-            continue;
-        for (long u = 0; u < t.across; u++) {
-            const long c0 = u * TILE_COLS, c1 = clamp(c0 + TILE_COLS, 0, cols) - 1;
-            if (c1 >= ring && c0 < ring + w)
-                t.m[at(&t, b) + u] = (r0 <= S || r1 >= rows - 1 - S ? 2.0 : 1.0)
-                                     * (c0 <= S || c1 >= cols - 1 - S ? 2.0 : 1.0);
-        }
+    } else { /* every tile in doubt, at level 0 */
+        memset(t.level, 0, int32s * sizeof *t.level);
+        memset(t.state, UNDECIDED, (size_t)t.tiles);
     }
+    const double *grid = cur;
     for (long p = 0; p < pulses; p++) {
         /* the pulse reads its bits before sense overwrites them */
         const unsigned char *in = p == 0 ? pixels : bits;
-        const double *grid = cur;
-        if (decide(&t, in, h, w, ring, vth, delta) > 0) {
-            spread(&t);
+        if (!bound || decide(&t, in, h, w, ring, vth, delta) > 0) {
+            if (bound)
+                spread(&t);
             load(&t, cur, in, h, w, ring);
             grid = diffuse(&t, cur, nxt, c);
         }
         sense(&t, grid, bits, h, w, ring, vth);
     }
-    free(scratch.p);
-    return 0;
-}
-
-/* The fewest substeps for which restore_bits runs. With fewer, a tile's
- * reach, rounded up to whole tiles, holds many times the cells that a cell's
- * own window does, so the bound decides few tiles on a noisy frame: at 1 and
- * 2 substeps a noisy 320x240 frame took 121 and 117 us on the bound path
- * against 82 and 119 us on restore_body (AVX-512F build). */
-enum { LEAST_SUBSTEPS = 3 };
-
-/* The restore of cramsim_restore: bits by the bound where the analog grid
- * is not needed, there is diffusion, there are at least LEAST_SUBSTEPS
- * substeps and both grid sides are at least 2 substeps + 2 (and the scratch
- * can be allocated), else restore_body. */
-BODY long restore_either(const unsigned char *pixels, long h, long w, long ring, double *cur,
-                         double *nxt, double c, long substeps, long pulses, double vth,
-                         unsigned char *bits, long analog)
-{
-    if (!analog && c > 0.0 && substeps >= LEAST_SUBSTEPS
-        && substeps <= (h + 2 * ring - 2) / 2 && substeps <= (w + 2 * ring - 2) / 2
-        && restore_bits(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits) == 0)
-        return 0;
-    return restore_body(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits);
+    free(g);
+    return analog && grid != cur;
 }
 
 /* One build of the restore, compiled with the given function attributes. */
@@ -563,8 +499,7 @@ BODY long restore_either(const unsigned char *pixels, long h, long w, long ring,
                                           long substeps, long pulses, double vth,            \
                                           unsigned char *bits, long analog)                  \
     {                                                                                         \
-        return restore_either(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits,   \
-                              analog);                                                        \
+        return restore(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits, analog); \
     }
 
 VARIANT(baseline, )
@@ -605,12 +540,14 @@ long cramsim_variants(void)
  * substeps at coupling c (none if c is 0), and senses the frame's cells
  * into bits, 1 byte each, set where the voltage exceeds vth.
  *
- * If analog is nonzero, nxt is only ever written by a substep, which sets
- * every grid cell of it, and the call returns 1 if the last pulse's analog
- * grid is in nxt, else 0 (it is in cur). If analog is 0, only the bits are
- * wanted: most of them may come from restore_bits's bound, the call
- * returns 0, and the grid cells of both buffers hold nothing of use. The
- * borders are never written.
+ * If analog is nonzero, every tile is in doubt, nxt is only ever written
+ * by a substep, which sets every grid cell of it, and the call returns 1 if
+ * the last pulse's analog grid is in nxt, else 0 (it is in cur). If analog
+ * is 0, only the bits are wanted: most of them may come from the charge
+ * bound, every tile is in doubt where it does not apply, the call returns
+ * 0, and the grid cells of both buffers hold nothing of use. Either way the
+ * call returns -1, with nothing written, if the tiles' scratch cannot be
+ * allocated. The borders are never written.
  */
 long cramsim_restore(long variant, const unsigned char *pixels, long h, long w, long ring,
                      double *cur, double *nxt, double c, long substeps, long pulses, double vth,
@@ -632,6 +569,24 @@ typedef struct {
     int32_t *row, *col, *owner;
     long n;
 } Points;
+
+/* A buffer that grows to what one pass of the search needs. Growing it
+ * discards its contents, which no step reads back. */
+typedef struct {
+    void *p;
+    size_t size;
+} Scratch;
+
+/* Room for size bytes, or NULL if it cannot be allocated. */
+static void *room(Scratch *s, size_t size)
+{
+    if (s->p == NULL || size > s->size) {
+        free(s->p);
+        s->size = size > 0 ? size : 1;
+        s->p = malloc(s->size);
+    }
+    return s->p;
+}
 
 /* One pass of the search: project every candidate onto one axis, split on its runs.
  *

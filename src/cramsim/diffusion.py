@@ -16,16 +16,17 @@ chosen once per process from what the library reports; the same loop over
 `_Stencil`'s numpy steps is the fallback, with the same bits.
 `diffuse_substep` and the probe run the numpy kernel.
 
-`restore_image` wants only the bits, and the compiled kernel then takes
-most of them from a charge bound: a pulse of S substeps leaves each cell
-at a weighted sum of the bits within S cells of it, with weights that sum
-to 1 and each at most m times the free-space kernel's largest value at
-that distance or beyond (m is 1, 2 or 4, doubling on each axis where the
-cell is within S of the reflecting edge). Where the bound puts a whole
-tile of cells on one side of vth, with a margin far above the rounding,
-its bits are written without diffusing it, and the substeps run only near
-the tiles still in doubt, so the bits are those of the full train. The
-full train runs for `apply_pulses`, which returns every voltage, and when
+The compiled kernel works in tiles of cells. `restore_image` wants only
+the bits, and the kernel then takes most of them from a charge bound: a
+pulse of S substeps leaves each cell at a weighted sum of the bits within
+S cells of it, with weights that sum to 1 and each at most m times the
+free-space kernel's largest value at that distance or beyond (m is 1, 2
+or 4, doubling on each axis where the cell is within S of the reflecting
+edge). Where the bound puts a whole tile of cells on one side of vth, with
+a margin far above the rounding, its bits are written without diffusing
+it, and the substeps run only near the tiles still in doubt, so the bits
+are those of the full train. Every tile is in doubt where the bound does
+not apply: for `apply_pulses`, which returns every voltage, and when
 amplitude is 0, S is under 3, or a side of the grid (frame and ring) is
 under 2S + 2.
 """
@@ -171,8 +172,8 @@ class _Stencil:
         pixels and then the bits the pulse before sensed, diffuses it (not at
         all if amplitude == 0) and senses its cells at cfg.vth. With analog,
         the last pulse's charges stay in the stencil. The compiled kernel
-        (`_ckernel`) runs the train in one call; without it, the numpy loop
-        below does.
+        (`_ckernel`) runs the train in one call; without it, or if it cannot
+        allocate its scratch, the numpy loop below does.
 
         Without analog, the compiled kernel may take most bits from the
         charge bound of the module docstring instead, with the same bits,
@@ -182,11 +183,14 @@ class _Stencil:
         kernels = _ckernel.kernels()
         if kernels is not None:
             bits = np.empty(frame.pixels.shape, np.uint8)
-            if kernels.restore(frame.pixels.ctypes.data, *bits.shape, ring, self._cur.ctypes.data,
-                               self._nxt.ctypes.data, c, cfg.substeps_per_pulse, cfg.pulses,
-                               vth, bits.ctypes.data, analog):
-                self._cur, self._nxt = self._nxt, self._cur
-            return bits
+            swapped = kernels.restore(frame.pixels.ctypes.data, *bits.shape, ring,
+                                      self._cur.ctypes.data, self._nxt.ctypes.data, c,
+                                      cfg.substeps_per_pulse, cfg.pulses, vth, bits.ctypes.data,
+                                      analog)
+            if swapped >= 0:
+                if swapped:
+                    self._cur, self._nxt = self._nxt, self._cur
+                return bits
         bits = frame.pixels
         for _ in range(cfg.pulses):
             self.load(bits, ring)
@@ -262,8 +266,8 @@ def restore_image(frame: BinaryFrame, cfg: DiffusionConfig) -> BinaryFrame:
     fully enclosed single-pixel hole in a solid block of 5x5 or larger. The
     compiled kernel decides most bits from the charge bound of the module
     docstring and diffuses only near the tiles it leaves in doubt; the bits
-    are those of the full pulse train, which runs where the bound does not
-    apply.
+    are those of the full pulse train, and every tile is in doubt where the
+    bound does not apply.
     """
     stencil = _stencil(frame.pixels.shape, cfg.ring)
     return BinaryFrame(stencil.pulse_train(frame, cfg, analog=False))

@@ -164,11 +164,11 @@ def analog_to_bytes(state: AnalogState) -> bytes:
     """Serialize an analog state as 8-bit PGM (P5); voltage v stores as round(v*255).
 
     The full array, ring included, is written; the ring width rides along in a
-    header comment so a reader can locate the interior.
+    header comment so a reader can locate the interior. PGM sets no size limit,
+    so any state a valid config produces is written, even one whose ring makes
+    it wider than MAX_DIM.
     """
     rows, cols = state.volts.shape
-    if rows > MAX_DIM or cols > MAX_DIM:
-        raise FrameFormatError(f"state {cols}x{rows} exceeds {MAX_DIM}x{MAX_DIM}")
     header = f"P5\n# ring {state.ring}\n{cols} {rows}\n255\n".encode("ascii")
     levels = np.rint(state.volts * 255.0).astype(np.uint8)
     return header + levels.tobytes()

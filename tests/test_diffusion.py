@@ -288,9 +288,11 @@ def test_bound_path_senses_cells_exactly_at_vth():
                 assert_same_bits(restore_image(frame, cfg).pixels, want)
 
 
-def touched_cells(frame: BinaryFrame, cfg: DiffusionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The compiled bits-only restore on buffers whose grid cells start as NaN: its bits,
-    and per buffer the grid cells that hold a number afterwards."""
+def touched_cells(frame: BinaryFrame, cfg: DiffusionConfig,
+                  analog: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The compiled restore on buffers whose grid cells start as NaN: its bits, per buffer
+    the grid cells that hold a number afterwards, and the grid of the buffer that the call
+    names as the last pulse's (cur, always, for a bits-only call)."""
     h, w = frame.pixels.shape
     rows, cols = h + 2 * cfg.ring, w + 2 * cfg.ring
     cur, nxt = np.zeros((rows + 2, cols + 2)), np.zeros((rows + 2, cols + 2))
@@ -299,11 +301,12 @@ def touched_cells(frame: BinaryFrame, cfg: DiffusionConfig) -> tuple[np.ndarray,
     swapped = _ckernel.kernels().restore(frame.pixels.ctypes.data, h, w, cfg.ring,
                                          cur.ctypes.data, nxt.ctypes.data, cfg.coupling,
                                          cfg.substeps_per_pulse, cfg.pulses, cfg.vth,
-                                         bits.ctypes.data, 0)
-    assert swapped == 0
+                                         bits.ctypes.data, analog)
+    assert swapped in ((0, 1) if analog else (0,))
     for buffer in (cur, nxt):  # the borders stay 0
         assert not buffer[[0, -1]].any() and not buffer[:, [0, -1]].any()
-    return bits, np.stack([~np.isnan(b[1:-1, 1:-1]) for b in (cur, nxt)])
+    touched = np.stack([~np.isnan(b[1:-1, 1:-1]) for b in (cur, nxt)])
+    return bits, touched, (nxt if swapped else cur)[1:-1, 1:-1]
 
 
 def within(mask: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -322,7 +325,7 @@ def test_bound_decides_blank_speck_and_block_frames():
     specks = BinaryFrame.zeros(96, 64)
     specks.pixels[5::20, 7::24] = 1
     for frame in (BinaryFrame.zeros(96, 64), specks):
-        bits, touched = touched_cells(frame, cfg)
+        bits, touched, _ = touched_cells(frame, cfg)
         assert not bits.any() and not touched.any()
 
     # At 5 and 9 substeps a band of tiles can lie exactly S cells from the nearest
@@ -336,7 +339,7 @@ def test_bound_decides_blank_speck_and_block_frames():
         frame = BinaryFrame.zeros(w, h)
         frame.pixels[r0:r1, c0:c1] = 1
         cfg = DiffusionConfig(substeps_per_pulse=substeps, ring=ring)
-        bits, touched = touched_cells(frame, cfg)
+        bits, touched, _ = touched_cells(frame, cfg)
         assert_same_bits(bits, reference.restore_image(frame, cfg, ring).pixels)
         block = np.pad(frame.pixels, ring).astype(bool)
         border = block ^ ndimage.binary_erosion(block, border_value=1)  # cells next to a 0
@@ -350,6 +353,57 @@ def test_bound_decides_blank_speck_and_block_frames():
         tiles = tiles.reshape(tiles.shape[0] // 4, 4, -1, 8)
         mixed = np.kron(tiles.any(axis=(1, 3)) & ~tiles.all(axis=(1, 3)), np.ones((4, 8), bool))
         assert touched[mixed[:len(block), :block.shape[1]]].all()
+
+
+@needs_cc
+def test_every_tile_is_in_doubt_where_the_bound_does_not_apply():
+    """Analog calls, and bits-only calls at 1 and 2 substeps, at amplitude 0 and on a grid
+    under 2S + 2 a side, load, diffuse and sense every cell, on buffers whose grid cells
+    start as NaN: each compiled build gives the reference's bits and leaves the borders 0,
+    and an analog call's named buffer holds the reference's voltages, no NaN."""
+    rng = np.random.default_rng(29)
+    wide, flat = block_frame(rng, (30, 41), 0.2), block_frame(rng, (13, 41), 0.2)
+    analog = [DiffusionConfig(), DiffusionConfig(pulses=2, substeps_per_pulse=3, ring=0),
+              DiffusionConfig(pulses=3, substeps_per_pulse=4, ring=2),
+              DiffusionConfig(pulses=2, amplitude=0.0)]
+    bits_only = [DiffusionConfig(substeps_per_pulse=1),
+                 DiffusionConfig(pulses=2, substeps_per_pulse=2),
+                 DiffusionConfig(pulses=2, amplitude=0.0, ring=3)]
+    cases = [(wide, cfg, True) for cfg in analog] + [(wide, cfg, False) for cfg in bits_only]
+    # 13 + 2 rows: under 2S + 2 = 18 at S = 8
+    cases += [(flat, DiffusionConfig(pulses=p), False) for p in (1, 2)]
+    for kernel in [k for k in KERNELS if k != "numpy"]:
+        with kernel_in_use(kernel):
+            for frame, cfg, wants_analog in cases:
+                bits, touched, grid = touched_cells(frame, cfg, wants_analog)
+                assert_same_bits(bits, reference.restore_image(frame, cfg, cfg.ring).pixels)
+                assert touched[0].all(), cfg  # every pulse loads every cell
+                if wants_analog:
+                    assert not np.isnan(grid).any()
+                    assert_same_bits(grid, reference.apply_pulses(frame, cfg, cfg.ring).volts)
+
+
+def test_restore_that_declines_runs_the_numpy_loop(monkeypatch):
+    """A compiled restore that returns -1 (its scratch could not be allocated) leaves the
+    pulse train to the numpy loop, which gives the reference's bits and voltages, also on
+    a workspace that an earlier restore left dirty."""
+    calls = []
+
+    def declined(*args):
+        calls.append(args)
+        return -1
+
+    monkeypatch.setattr(_ckernel, "_kernels", _ckernel._Kernels(declined, None, 1))
+    rng = np.random.default_rng(30)
+    for cfg in (DiffusionConfig(), DiffusionConfig(pulses=2, substeps_per_pulse=3, ring=0),
+                DiffusionConfig(amplitude=0.0, ring=2)):
+        frame = block_frame(rng, (24, 33), 0.2)
+        assert_same_bits(restore_image(frame, cfg).pixels,
+                         reference.restore_image(frame, cfg, cfg.ring).pixels)
+        assert_same_bits(apply_pulses(frame, cfg).volts,
+                         reference.apply_pulses(frame, cfg, cfg.ring).volts)
+        assert_zero_borders(diffusion._workspace.stencil)
+    assert len(calls) == 6 and [args[-1] for args in calls] == [False, True] * 3
 
 
 def test_one_call_restore_matches_numpy_and_reference():

@@ -162,3 +162,12 @@ def test_pgm_bytes_quantize_to_8_bits():
     header = b"P5\n# ring 2\n9 7\n255\n"
     assert data[:len(header)] == header
     assert data[len(header):] == np.rint(state.volts * 255).astype(np.uint8).tobytes()
+
+
+def test_pgm_bytes_of_a_state_wider_than_a_frame():
+    """A ring of up to MAX_DIM cells makes states over MAX_DIM a side; they are written."""
+    state = AnalogState(np.full((4098, 3), 0.5), ring=1)
+    data = analog_to_bytes(state)
+    header = b"P5\n# ring 1\n3 4098\n255\n"
+    assert data[:len(header)] == header
+    assert data[len(header):] == bytes([128]) * (4098 * 3)
