@@ -4,9 +4,11 @@ The session is criterion 8's 64x64 one, a restore at 3 pulses with a ring
 of 2, a restore at 2 pulses of 3 substeps with no ring (an odd count, so
 each pulse ends in the other buffer), a restored `propose` at those
 settings, restored `propose` runs at 2 substeps and at amplitude 0 (where
-the charge bound of the compiled restore does not apply), `propose`, raw
-and restored, on three noisy 320x240 frames, and an `eval` of the
-unconsolidated search boxes on both corpora. A refactor
+the charge bound of the compiled restore does not apply), `restore` runs
+without `--emit-analog` at the defaults, at 2 substeps and at 2 pulses of 3
+substeps with no ring, `propose`, raw and restored, and a `restore`, on
+three noisy 320x240 frames, and an `eval` of the unconsolidated search
+boxes on both corpora. A refactor
 must leave every file byte-identical, under every kernel and worker count.
 After a deliberate change of the outputs, record the hashes again with
 `PYTHONPATH=src python tests/test_golden_trees.py`.
@@ -55,7 +57,13 @@ def session_hashes(root: Path) -> dict[str, str]:
          "--diffusion.pulses", "3", "--frame.ring", "2"],
         ["restore", small, "--out", str(root / "restored_p2_s3_r0"), "--emit-analog",
          "--diffusion.pulses", "2", "--diffusion.substeps_per_pulse", "3", "--frame.ring", "0"],
+        ["restore", small, "--out", str(root / "restored_bits")],
+        ["restore", small, "--out", str(root / "restored_bits_s2"),
+         "--diffusion.substeps_per_pulse", "2"],
+        ["restore", small, "--out", str(root / "restored_bits_p2_s3_r0"),
+         "--diffusion.pulses", "2", "--diffusion.substeps_per_pulse", "3", "--frame.ring", "0"],
         ["synth", "--out", noisy, *NOISY],
+        ["restore", noisy, "--out", str(root / "noisy_restored")],
         ["propose", noisy, "--out", str(root / "noisy_boxes")],
         ["propose", noisy, "--out", str(root / "noisy_boxes_restored"),
          "--propose.restore", "true"],
