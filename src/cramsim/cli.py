@@ -31,6 +31,7 @@ from .diffusion import (
     apply_pulses,
     blank_frame_detect,
     probe_diffusion_speed,
+    restore_image,
     threshold_restore,
 )
 from .errors import ConfigError, CramSimError, InputError
@@ -173,11 +174,13 @@ def cmd_restore(cfg: RunConfig, args: argparse.Namespace) -> int:
     _check_max_ones(cfg.blank_max_ones)
 
     def one(path: str) -> tuple[str, bool]:
-        stem = _stem(path)
-        state = apply_pulses(load_frame(path), dcfg)
-        restored = threshold_restore(state, dcfg)
+        stem, frame = _stem(path), load_frame(path)
         if args.emit_analog:
+            state = apply_pulses(frame, dcfg)
+            restored = threshold_restore(state, dcfg)
             _write_bytes(os.path.join(args.out, stem + ".analog.pgm"), analog_to_bytes(state))
+        else:
+            restored = restore_image(frame, dcfg)
         _write_bytes(os.path.join(args.out, stem + ".restored.pbm"), frame_to_bytes(restored))
         return stem, blank_frame_detect(restored, max_ones=cfg.blank_max_ones)
 

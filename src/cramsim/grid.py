@@ -89,13 +89,6 @@ class AnalogState:
             return self.volts
         return self.volts[r:-r, r:-r]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AnalogState)
-            and self.ring == other.ring
-            and np.array_equal(self.volts, other.volts)
-        )
-
 
 # --- PBM (P4) binary frames -------------------------------------------------
 
@@ -170,5 +163,6 @@ def analog_to_bytes(state: AnalogState) -> bytes:
     """
     rows, cols = state.volts.shape
     header = f"P5\n# ring {state.ring}\n{cols} {rows}\n255\n".encode("ascii")
-    levels = np.rint(state.volts * 255.0).astype(np.uint8)
-    return header + levels.tobytes()
+    levels = state.volts * 255.0
+    np.rint(levels, out=levels)
+    return header + levels.astype(np.uint8).tobytes()

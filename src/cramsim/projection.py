@@ -87,20 +87,6 @@ class Box:
     def area(self) -> int:
         return self.height * self.width
 
-    def union(self, other: "Box") -> "Box":
-        return Box(
-            min(self.r0, other.r0),
-            max(self.r1, other.r1),
-            min(self.c0, other.c0),
-            max(self.c1, other.c1),
-        )
-
-    def row_gap(self, other: "Box") -> int:
-        return _interval_gap(self.r0, self.r1, other.r0, other.r1)
-
-    def col_gap(self, other: "Box") -> int:
-        return _interval_gap(self.c0, self.c1, other.c0, other.c1)
-
     @classmethod
     def from_json_obj(cls, obj: dict[str, int]) -> "Box":
         """Box from its JSON object; a malformed object raises InputError."""
@@ -112,15 +98,6 @@ class Box:
         except ValueError:
             raise InputError(
                 f"box {json.dumps(obj)} needs 0 <= x0 <= x1 and 0 <= y0 <= y1") from None
-
-
-def _interval_gap(a0: int, a1: int, b0: int, b1: int) -> int:
-    # number of free lines strictly between the intervals; overlap -> 0
-    if b0 > a1:
-        return b0 - a1 - 1
-    if a0 > b1:
-        return a0 - b1 - 1
-    return 0
 
 
 def _sort_key(box: Box) -> tuple[int, int, int, int]:

@@ -54,15 +54,12 @@ class CycleTrace:
         nonzero = {kind: self.counts[kind] for kind in CYCLES if self.counts.get(kind)}
         object.__setattr__(self, "counts", MappingProxyType(nonzero))
 
-    def total(self, kind: str) -> int:
-        return self.counts.get(kind, 0)
-
     @property
     def entries(self) -> list[tuple[str, int]]:
         """The nonzero (kind, count) pairs in CYCLES order.
 
         Only perfbench/tracer.py reads this. It goes away once the tracer
-        reads total(REGION_PROJECTION) instead (ROADMAP item 1).
+        reads counts.get(REGION_PROJECTION, 0) instead (ROADMAP item 1).
         """
         return list(self.counts.items())
 

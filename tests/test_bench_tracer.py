@@ -52,7 +52,7 @@ def test_tracer_hooks_projection_and_counts_region_projections(tmp_path, paths):
               if m.startswith("cramsim.projection.") or m == "cramsim.timing.trace_cycles"]
     assert hooked == []
 
-    regions = [region_propose(load_frame(p), RpConfig()).trace.total(REGION_PROJECTION)
+    regions = [region_propose(load_frame(p), RpConfig()).trace.counts.get(REGION_PROJECTION, 0)
                for p in paths]
     assert min(regions) > 0
     metrics = layer_metrics(tracer, frames=len(paths), setups=1)

@@ -561,6 +561,9 @@ def test_knobs_of_a_stage_that_does_not_run_cannot_fail_it(tmp_path, corpus, com
     # a corpus past five-digit frame numbers; 2**63 overflowed numpy's seed spawning
     (["synth", "--synth.frames", "100001"], 2),
     (["synth", "--synth.frames", str(2**63)], 2),
+    # a corpus directory that is missing, or that holds no frame (a restored one is not)
+    (["eval", "MISSING"], 1),
+    (["eval", "NOFRAME"], 1),
 ])
 def test_failed_command_leaves_no_out_directory(tmp_path, capsys, monkeypatch, command, code):
     from cramsim import cli, oracle
@@ -578,7 +581,11 @@ def test_failed_command_leaves_no_out_directory(tmp_path, capsys, monkeypatch, c
     corpus2 = tmp_path / "corpus2"
     corpus2.mkdir()
     (corpus2 / "f.pbm").write_bytes(frame_to_bytes(BinaryFrame.zeros(6, 6)))
-    placeholders = {"CORPUS": str(corpus), "CORPUS2": str(corpus2)}
+    noframe = tmp_path / "noframe"
+    noframe.mkdir()
+    (noframe / "f.restored.pbm").write_bytes(frame_to_bytes(BinaryFrame.zeros(8, 8)))
+    placeholders = {"CORPUS": str(corpus), "CORPUS2": str(corpus2), "NOFRAME": str(noframe),
+                    "MISSING": str(tmp_path / "missing")}
     argv = [placeholders.get(arg, arg) for arg in command]
     out = tmp_path / "out"
     capsys.readouterr()

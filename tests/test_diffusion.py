@@ -746,9 +746,13 @@ def test_probe_step_counts_frozen():
     assert probe_diffusion_speed(64, 64, "center", half).steps_to_threshold == 18
 
 
-def test_probe_guard_and_validation():
+def test_probe_guard_and_validation(monkeypatch):
     with pytest.raises(GuardError):
         probe_diffusion_speed(64, 64, "center", DiffusionConfig(amplitude=0.0))
+    # a blob that fills a grid with no ring keeps all its charge, so it never drops below vth
+    monkeypatch.setattr(diffusion, "MAX_PROBE_SUBSTEPS", 100)
+    with pytest.raises(GuardError, match="within 100 substeps"):
+        probe_diffusion_speed(4, 4, "center", DiffusionConfig(ring=0))
     with pytest.raises(ConfigError):
         probe_diffusion_speed(64, 64, "edge", DiffusionConfig())
     with pytest.raises(ConfigError):

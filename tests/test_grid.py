@@ -1,5 +1,6 @@
 """Frame and analog-state containers and the PBM/PGM file formats."""
 
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -64,6 +65,10 @@ def test_analog_state_voltage_range_enforced():
     # ring must leave a non-empty interior
     with pytest.raises(ValueError):
         AnalogState(np.zeros((2, 2)), ring=1)
+    with pytest.raises(ValueError, match="2-D"):
+        AnalogState(np.zeros(16), ring=1)
+    with pytest.raises(ValueError, match="ring width"):
+        AnalogState(np.zeros((4, 4)), ring=-1)
 
 
 def test_embed_puts_pixels_inside_zero_ring():
@@ -126,6 +131,11 @@ def test_pbm_truncated_payload_reports_offset(scratch):
     with pytest.raises(FrameFormatError) as exc:
         load_frame(path)
     assert "truncated" in str(exc.value)
+    # a header that ends in its last digit, with not even the byte that ends it
+    path.write_bytes(b"P4\n8 8")
+    with pytest.raises(FrameFormatError) as exc:
+        load_frame(path)
+    assert str(exc.value) == "missing payload (byte offset 6)"
 
 
 def test_pbm_rejects_silly_dimensions(scratch):
@@ -136,6 +146,8 @@ def test_pbm_rejects_silly_dimensions(scratch):
     path.write_bytes(b"P4\n5000 4\n" + b"\x00" * 4000)
     with pytest.raises(FrameFormatError):
         load_frame(path)
+    with pytest.raises(FrameFormatError, match="exceeds"):
+        frame_to_bytes(BinaryFrame.zeros(4097, 1))
 
 
 @pytest.mark.parametrize("header, error", [
@@ -171,3 +183,15 @@ def test_pgm_bytes_of_a_state_wider_than_a_frame():
     header = b"P5\n# ring 1\n3 4098\n255\n"
     assert data[:len(header)] == header
     assert data[len(header):] == bytes([128]) * (4098 * 3)
+
+
+def test_pgm_bytes_hold_one_float_temporary():
+    """Scaling and rounding share one float64 array the size of the state."""
+    state = AnalogState(np.random.default_rng(5).random((1026, 1026)), ring=1)
+    tracemalloc.start()
+    try:
+        analog_to_bytes(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * state.volts.nbytes

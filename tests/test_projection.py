@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import KERNELS, box_array, frame_of, kernel_in_use
 from iss_reference import reference_iss, refine, runs_from_bits
-from rp_reference import reference_rp_update
+from rp_reference import col_gap, reference_rp_update, row_gap, union
+from cramsim import _ckernel
 from cramsim.config import RunConfig
 from cramsim.errors import ConfigError, InputError
 from cramsim.grid import MAX_DIM, BinaryFrame
@@ -156,7 +157,7 @@ def test_runs_from_bits():
 def test_box_geometry_and_validation():
     b = Box(2, 5, 3, 3)
     assert (b.height, b.width, b.area) == (4, 1, 4)
-    assert b.union(Box(0, 1, 7, 9)) == Box(0, 5, 3, 9)
+    assert union(b, Box(0, 1, 7, 9)) == Box(0, 5, 3, 9)
     with pytest.raises(ValueError):
         Box(3, 2, 0, 0)
     with pytest.raises(ValueError):
@@ -165,10 +166,10 @@ def test_box_geometry_and_validation():
 
 def test_box_gaps():
     a = Box(0, 3, 0, 3)
-    assert a.col_gap(Box(0, 3, 6, 9)) == 2
-    assert a.col_gap(Box(0, 3, 4, 9)) == 0  # adjacent, no free line
-    assert a.row_gap(Box(2, 8, 0, 3)) == 0  # overlapping
-    assert a.row_gap(Box(9, 9, 0, 3)) == 5
+    assert col_gap(a, Box(0, 3, 6, 9)) == 2
+    assert col_gap(a, Box(0, 3, 4, 9)) == 0  # adjacent, no free line
+    assert row_gap(a, Box(2, 8, 0, 3)) == 0  # overlapping
+    assert row_gap(a, Box(9, 9, 0, 3)) == 5
 
 
 def test_boxes_json_roundtrip_and_order():
@@ -240,8 +241,8 @@ def test_iss_row_band_sharing_needs_third_iteration():
         Box(8, 11, 0, 3),
     ]
     # 1 full-axis + 2 candidates refined + 3 candidates re-checked
-    assert res.trace.total(FULL_AXIS_PROJECTION) == 1
-    assert res.trace.total(REGION_PROJECTION) == 5
+    assert res.trace.counts.get(FULL_AXIS_PROJECTION, 0) == 1
+    assert res.trace.counts.get(REGION_PROJECTION, 0) == 5
 
 
 def test_iss_refinement_respects_candidate_extent():
@@ -431,7 +432,7 @@ def test_search_returns_candidates_in_pass_order():
     def check(res):
         assert res.candidates.tolist() == in_pass_order
         assert res.iterations == 3
-        assert res.trace.total(REGION_PROJECTION) == 3
+        assert res.trace.counts.get(REGION_PROJECTION, 0) == 3
         assert res.projection_cells == [150, 150, 100]
 
     check(reference_iss(frame, RpConfig()))
@@ -443,11 +444,22 @@ def test_search_returns_candidates_in_pass_order():
             assert EvalPipeline(restore=False, consolidate=False).propose(frame).boxes == boxes
 
 
-def test_batched_search_matches_reference_on_noisy_corpus():
-    """Noisy, fragmented 320x240 frames: hundreds of candidates per pass."""
+def test_batched_search_matches_reference_on_noisy_corpus(monkeypatch):
+    """Noisy, fragmented 320x240 frames: hundreds of candidates per pass. A compiled
+    search that declines a frame (returns -1) leaves it to the numpy passes."""
     scenes = generate_corpus(RunConfig(noise_density=0.01, fragment_gap=2, seed=7).synth_config(), 8)
     for scene in scenes:
         assert_same_search(scene.frame, RpConfig())
+    calls = []
+
+    def declined(*args):
+        calls.append(args)
+        return -1
+
+    monkeypatch.setattr(_ckernel, "_kernels", _ckernel._Kernels(None, declined, 1))
+    for scene in scenes[:2]:
+        assert_same_result(iss(scene.frame, RpConfig()), reference_iss(scene.frame, RpConfig()))
+    assert len(calls) == 2
 
 
 def _dots(h: int, w: int) -> np.ndarray:
@@ -548,7 +560,7 @@ def test_rp_update_union_reaches_box_neither_part_reaches(corner_first):
     b = Box(6, 9, 6, 9)  # row and column gaps 2 from a
     corner = Box(0, 1, 8, 9)  # column gap 4 from a, row gap 4 from b, inside a | b
     cfg = RpConfig(size_min=1, slot_r=3, slot_c=3)
-    assert corner.col_gap(a) >= cfg.slot_c and corner.row_gap(b) >= cfg.slot_r
+    assert col_gap(corner, a) >= cfg.slot_c and row_gap(corner, b) >= cfg.slot_r
     boxes = [corner, a, b] if corner_first else [a, b, corner]
     assert rp_update(box_array(boxes), cfg) == [Box(0, 9, 0, 9)]
     assert reference_rp_update(boxes, cfg) == [Box(0, 9, 0, 9)]
@@ -602,7 +614,7 @@ def test_rp_update_output_pairwise_unmergeable(boxes):
     cfg = RpConfig(size_min=1, slot_r=3, slot_c=3)
     merged = rp_update(box_array(boxes), cfg)
     for a, b in itertools.combinations(merged, 2):
-        assert a.row_gap(b) >= cfg.slot_r or a.col_gap(b) >= cfg.slot_c
+        assert row_gap(a, b) >= cfg.slot_r or col_gap(a, b) >= cfg.slot_c
 
 
 @settings(max_examples=300, deadline=None)
@@ -636,8 +648,8 @@ def test_region_propose_trace_composition():
     assert len(res.boxes) == 3
     assert res.search.boxes == res.boxes
     assert trace_cycles(res.trace) == 42
-    assert res.trace.total(CONTROLLER_OBJECT) == 3
-    assert res.trace.total(CONTROLLER_FIXED) == 1
+    assert res.trace.counts.get(CONTROLLER_OBJECT, 0) == 3
+    assert res.trace.counts.get(CONTROLLER_FIXED, 0) == 1
 
 
 def test_region_propose_controller_counts_raw_detections():
@@ -648,13 +660,13 @@ def test_region_propose_controller_counts_raw_detections():
     res = region_propose(f, RpConfig())
     assert len(res.search.boxes) == 2
     assert res.boxes == [Box(0, 3, 0, 9)]
-    assert res.trace.total(CONTROLLER_OBJECT) == 2
+    assert res.trace.counts.get(CONTROLLER_OBJECT, 0) == 2
 
 
 def test_region_propose_empty_frame_has_no_object_entries():
     res = region_propose(BinaryFrame.zeros(8, 8), RpConfig())
     assert res.boxes == []
-    assert res.trace.total(CONTROLLER_OBJECT) == 0
+    assert res.trace.counts.get(CONTROLLER_OBJECT, 0) == 0
     assert res.trace.entries == [(FULL_AXIS_PROJECTION, 1), (CONTROLLER_FIXED, 1)]
     assert trace_cycles(res.trace) == 12
 

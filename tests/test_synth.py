@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rp_reference import col_gap, row_gap
 from cramsim.cli import main
 from cramsim.errors import ConfigError
 from cramsim.oracle import ccl
@@ -68,7 +69,7 @@ def test_boxes_pairwise_separated_by_band():
     for scene in generate_corpus(cfg, 50):
         for i, a in enumerate(scene.gt):
             for b in scene.gt[i + 1:]:
-                assert max(a.row_gap(b), a.col_gap(b)) >= cfg.band_min
+                assert max(row_gap(a, b), col_gap(a, b)) >= cfg.band_min
 
 
 def test_gt_sorted_and_clean_matches_components():
