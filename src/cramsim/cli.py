@@ -198,9 +198,9 @@ def cmd_propose(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     def one(path: str) -> str:
         run = pipeline.propose(load_frame(path))
-        stem = _stem(path)
-        _write_text(os.path.join(args.out, stem + ".boxes.json"), boxes_to_json(run.boxes))
-        return ",".join(map(str, (stem, len(run.boxes), *run.cost)))
+        stem, boxes = _stem(path), run.boxes
+        _write_text(os.path.join(args.out, stem + ".boxes.json"), boxes_to_json(boxes))
+        return ",".join(map(str, (stem, len(boxes), *run.cost)))
 
     rows = _map_frames(one, paths, worker_count())
     lines = ["frame_id,n_objects,imc_cycles,total_cycles,diffusion_ops,projection_ops"]

@@ -12,14 +12,14 @@ import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .diffusion import DiffusionConfig, restore_image
 from .errors import ConfigError
 from .grid import BinaryFrame
-from .projection import Box, ProposeResult, RpConfig, iss, region_propose
+from .projection import Box, ProposeResult, RpConfig, Row, _sorted_rows, iss, region_propose
 from .timing import CostReport, cost_report
 
 IOU_THRESHOLDS = (0.3, 0.5, 0.7)  # scored when no thresholds are given
@@ -171,6 +171,47 @@ def _check_iou_threshold(iou_threshold: float) -> None:
         raise ConfigError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
 
 
+def _greedy_matches(pred: Sequence[Row], gt: Sequence[Row],
+                    lowest: float) -> list[tuple[int, int, float]]:
+    """The greedy one-to-one matching of match_boxes at threshold lowest, on
+    (r0, r1, c0, c1) rows: the taken (pred index, gt index, IoU) in take order.
+
+    Pairs are taken in descending IoU order, ties broken on (gt index, pred
+    index), and IoU is worked out inline as iou does, so each value is the
+    same float. Whether a pair is taken depends only on the pairs before it,
+    and the pairs at or above any higher threshold are a prefix of that
+    order; so the matches at such a threshold are the taken pairs whose IoU
+    reaches it, which is how evaluate scores every threshold in one pass.
+    """
+    areas = [(r1 - r0 + 1) * (c1 - c0 + 1) for r0, r1, c0, c1 in pred]
+    scored = []
+    for gi, (gr0, gr1, gc0, gc1) in enumerate(gt):
+        area_g = (gr1 - gr0 + 1) * (gc1 - gc0 + 1)
+        for pi, (r0, r1, c0, c1) in enumerate(pred):
+            rows = min(r1, gr1) - max(r0, gr0) + 1
+            cols = min(c1, gc1) - max(c0, gc0) + 1
+            if rows > 0 and cols > 0:  # a disjoint pair has IoU 0, under every threshold
+                inter = rows * cols
+                value = inter / (areas[pi] + area_g - inter)
+                if value >= lowest:
+                    scored.append((-value, gi, pi))
+    scored.sort()
+    used_gt: set[int] = set()
+    used_pred: set[int] = set()
+    taken = []
+    for value, gi, pi in scored:
+        if gi in used_gt or pi in used_pred:
+            continue
+        used_gt.add(gi)
+        used_pred.add(pi)
+        taken.append((pi, gi, -value))
+    return taken
+
+
+def _rows(boxes: Sequence[Box]) -> list[Row]:
+    return [(b.r0, b.r1, b.c0, b.c1) for b in boxes]
+
+
 def match_boxes(pred: list[Box], gt: list[Box], iou_threshold: float) -> MatchResult:
     """Greedy one-to-one matching in descending IoU order.
 
@@ -178,22 +219,7 @@ def match_boxes(pred: list[Box], gt: list[Box], iou_threshold: float) -> MatchRe
     pred index). Every prediction and ground truth is assigned at most once.
     """
     _check_iou_threshold(iou_threshold)
-    scored = []
-    for gi, g in enumerate(gt):
-        for pi, p in enumerate(pred):
-            value = iou(p, g)
-            if value >= iou_threshold:
-                scored.append((-value, gi, pi))
-    scored.sort()
-    used_gt: set[int] = set()
-    used_pred: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    for _, gi, pi in scored:
-        if gi in used_gt or pi in used_pred:
-            continue
-        used_gt.add(gi)
-        used_pred.add(pi)
-        pairs.append((pi, gi))
+    pairs = [(pi, gi) for pi, gi, _ in _greedy_matches(_rows(pred), _rows(gt), iou_threshold)]
     tp = len(pairs)
     return MatchResult(tp=tp, fp=len(pred) - tp, fn=len(gt) - tp, pairs=pairs)
 
@@ -233,6 +259,7 @@ class FrameRun(NamedTuple):
 
     @property
     def boxes(self) -> list[Box]:
+        """The proposal's boxes, built on each read."""
         return self.proposal.boxes
 
     @property
@@ -265,7 +292,7 @@ class EvalPipeline:
             proposal = region_propose(frame, self.rp)
         else:
             found = iss(frame, self.rp)
-            proposal = ProposeResult(found.boxes, found.trace, found)
+            proposal = ProposeResult(_sorted_rows(found.candidates.tolist()), found.trace, found)
         return FrameRun(proposal, d.pulses * d.substeps_per_pulse if self.restore else 0, cells)
 
 
@@ -284,7 +311,9 @@ def evaluate(
     """Score the pipeline over a corpus, one report per IoU threshold.
 
     The calling thread and up to workers - 1 pool threads take turns: one of
-    them proposes each frame's boxes and matches them at every threshold.
+    them proposes each frame's boxes and matches them once, at the lowest
+    threshold; a higher threshold's matches are the ones whose IoU reaches
+    it (see _greedy_matches).
     The calling thread then sums tp/fp/fn (micro average) and the weighted
     F1 in frame order, so the reports do not depend on the worker count,
     bit for bit.
@@ -298,26 +327,30 @@ def evaluate(
     for thr in thresholds:
         _check_iou_threshold(thr)
 
-    def score(sample: FrameSample) -> list[MatchResult]:
-        pred = pipeline.propose(sample.frame).boxes
-        return [match_boxes(pred, sample.gt, thr) for thr in thresholds]
+    lowest = min(thresholds)
 
-    matches = _pool_map(score, samples, workers)  # matches[frame][threshold]
+    def score(sample: FrameSample) -> tuple[int, list[float]]:
+        pred = pipeline.propose(sample.frame).proposal.rows
+        taken = _greedy_matches(pred, _rows(sample.gt), lowest)
+        return len(pred), [value for _, _, value in taken]
+
+    scored = _pool_map(score, samples, workers)  # per frame: (preds, IoU of each match)
 
     reports = []
-    for t, thr in enumerate(thresholds):
+    for thr in thresholds:
         tp = fp = fn = 0
         weight_sum = 0
         weighted_acc = 0.0
-        for sample, frame_matches in zip(samples, matches):
-            m = frame_matches[t]
-            tp += m.tp
-            fp += m.fp
-            fn += m.fn
+        for sample, (n_pred, values) in zip(samples, scored):
             w = len(sample.gt)
+            m_tp = sum(value >= thr for value in values)
+            m_fp, m_fn = n_pred - m_tp, w - m_tp
+            tp += m_tp
+            fp += m_fp
+            fn += m_fn
             if w:
                 weight_sum += w
-                weighted_acc += w * _prf(m.tp, m.fp, m.fn)[2]
+                weighted_acc += w * _prf(m_tp, m_fp, m_fn)[2]
         precision, recall, f1 = _prf(tp, fp, fn)
         weighted = weighted_acc / weight_sum if weight_sum else 0.0
         reports.append(EvalReport(thr, tp, fp, fn, precision, recall, f1, weighted))

@@ -8,8 +8,9 @@ splitting it when the projection detects multiple runs, until the object
 count stops changing. A consolidation pass then drops undersized boxes and
 merges boxes whose row and column gaps are both under the slot thresholds,
 which stitches fragmented objects back together. Candidates stay an (n, 4)
-array through the search and the size filter; Box objects are built only
-for the boxes that survive it, and for the raw search result on demand.
+array through the search and the size filter, and plain int tuples (Rows)
+through the merge and matching; Box objects are built only on read, by
+ProposeResult.boxes and IssResult.boxes.
 
 The search runs in the compiled kernel (`_kernel.c`, loaded by `_ckernel`)
 in one call per frame, outside the GIL, when this host can build it; the
@@ -24,7 +25,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -104,7 +105,13 @@ def _sort_key(box: Box) -> tuple[int, int, int, int]:
     return (box.r0, box.c0, box.r1, box.c1)
 
 
-_tuple_sort_key = operator.itemgetter(0, 2, 1, 3)  # _sort_key of an (r0, r1, c0, c1) tuple
+Row = tuple[int, int, int, int]  # a box as plain ints: (r0, r1, c0, c1)
+_tuple_sort_key = operator.itemgetter(0, 2, 1, 3)  # _sort_key of a Row
+
+
+def _sorted_rows(rows: Iterable[Sequence[int]]) -> list[Row]:
+    """The rows as tuples sorted by (r0, c0, r1, c1), the order _sort_key gives their Boxes."""
+    return sorted(map(tuple, rows), key=_tuple_sort_key)
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,7 @@ class IssResult:
     @property
     def boxes(self) -> list[Box]:
         """The candidates as Box objects sorted by (r0, c0, r1, c1), built on each read."""
-        return sorted((Box(*row) for row in self.candidates.tolist()), key=_sort_key)
+        return [Box(*row) for row in _sorted_rows(self.candidates.tolist())]
 
 
 @functools.lru_cache(maxsize=16)
@@ -295,7 +302,7 @@ def _numpy_search(pixels: np.ndarray, fewest: int, max_iters: int):
     return candidates, len(passes), sum(map(len, passes)) - 1, cells
 
 
-def rp_update(new_boxes: np.ndarray, cfg: RpConfig) -> list[Box]:
+def rp_update(new_boxes: np.ndarray, cfg: RpConfig) -> list[Row]:
     """Consolidate proposals: size-filter, then merge near boxes to a fixpoint.
 
     new_boxes holds one row [r0, r1, c0, c1] per proposal; boxes under size_min
@@ -304,7 +311,8 @@ def rp_update(new_boxes: np.ndarray, cfg: RpConfig) -> list[Box]:
     merges nothing. Each box absorbs every near box of the merged list, checks
     again, and joins it once none is near. Merging only grows boxes and
     shrinks gaps, so the fixpoint is unique. The merge runs on plain int
-    tuples, and a Box is built only for each merged result.
+    tuples, and returns them sorted by (r0, c0, r1, c1), as Rows: a Box is
+    built only where one is read (ProposeResult.boxes).
     """
     heights = new_boxes[:, 1] - new_boxes[:, 0] + 1
     widths = new_boxes[:, 3] - new_boxes[:, 2] + 1
@@ -323,16 +331,22 @@ def rp_update(new_boxes: np.ndarray, cfg: RpConfig) -> list[Box]:
                 r0s, r1s, c0s, c1s = zip(*near)
                 r0, r1, c0, c1 = min(r0s), max(r1s), min(c0s), max(c1s)
             merged.append((r0, r1, c0, c1))
-    return [Box(*b) for b in sorted(merged, key=_tuple_sort_key)]
+    return _sorted_rows(merged)
 
 
 @dataclass
 class ProposeResult:
-    """Consolidated boxes, the full trace, and the search they came from."""
+    """The proposals as Rows sorted by (r0, c0, r1, c1), the full trace, and the
+    search they came from."""
 
-    boxes: list[Box]
+    rows: list[Row]
     trace: CycleTrace
     search: IssResult
+
+    @property
+    def boxes(self) -> list[Box]:
+        """The rows as Box objects, in row order, built on each read."""
+        return [Box(*row) for row in self.rows]
 
 
 def region_propose(frame: BinaryFrame, cfg: RpConfig) -> ProposeResult:
@@ -343,10 +357,10 @@ def region_propose(frame: BinaryFrame, cfg: RpConfig) -> ProposeResult:
     overhead op.
     """
     found = iss(frame, cfg)
-    boxes = rp_update(found.candidates, cfg)
+    rows = rp_update(found.candidates, cfg)
     trace = CycleTrace({**found.trace.counts,
                         CONTROLLER_OBJECT: len(found.candidates), CONTROLLER_FIXED: 1})
-    return ProposeResult(boxes, trace, found)
+    return ProposeResult(rows, trace, found)
 
 
 def boxes_to_json(boxes: Sequence[Box]) -> str:

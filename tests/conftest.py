@@ -98,7 +98,11 @@ def frame_of(art: str) -> BinaryFrame:
     return BinaryFrame(grid)
 
 
+def box_rows(boxes: list[Box]) -> list[tuple[int, int, int, int]]:
+    """Boxes as the (r0, r1, c0, c1) tuples that rp_update returns and matching reads."""
+    return [(b.r0, b.r1, b.c0, b.c1) for b in boxes]
+
+
 def box_array(boxes: list[Box]) -> np.ndarray:
     """Boxes as the (n, 4) int64 array [r0, r1, c0, c1] the search works on."""
-    rows = [[b.r0, b.r1, b.c0, b.c1] for b in boxes]
-    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+    return np.array(box_rows(boxes), dtype=np.int64).reshape(-1, 4)

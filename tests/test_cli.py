@@ -524,46 +524,54 @@ def test_knobs_of_a_stage_that_does_not_run_cannot_fail_it(tmp_path, corpus, com
     assert not (tmp_path / "restored").exists()
 
 
+# Each case names its own id, so a case added anywhere in the list renames no
+# other. These ids are the positional ones pytest gave the cases before they
+# were fixed; a new case takes the next free number.
 @pytest.mark.parametrize("command,code", [
-    (["synth", "--synth.frames", "0"], 2),
-    (["eval", "CORPUS", "--eval.iou_thresholds", "5"], 2),
-    (["propose", "missing.pbm"], 1),
-    (["synth", "--synth.seed", "-1"], 2),
-    (["restore", "CORPUS", "--blank.max_ones", "-1"], 2),
-    (["restore", "CORPUS", "--frame.ring", "100000"], 2),
-    (["eval", "CORPUS", "--frame.ring", "100000"], 2),
-    (["propose", "CORPUS", "--propose.restore", "true", "--frame.ring", "100000"], 2),
-    (["probe", "--frame.ring", "100000"], 2),
-    (["probe", "--frame.width", "100000", "--frame.height", "100000"], 2),
-    (["eval", "CORPUS", "--eval.sweep_amplitudes", "0.5"], 2),
-    (["eval", "CORPUS", "--eval.sweep_substeps", "4"], 2),
+    pytest.param(["synth", "--synth.frames", "0"], 2, id="command0-2"),
+    pytest.param(["eval", "CORPUS", "--eval.iou_thresholds", "5"], 2, id="command1-2"),
+    pytest.param(["propose", "missing.pbm"], 1, id="command2-1"),
+    pytest.param(["synth", "--synth.seed", "-1"], 2, id="command3-2"),
+    pytest.param(["restore", "CORPUS", "--blank.max_ones", "-1"], 2, id="command4-2"),
+    pytest.param(["restore", "CORPUS", "--frame.ring", "100000"], 2, id="command5-2"),
+    pytest.param(["eval", "CORPUS", "--frame.ring", "100000"], 2, id="command6-2"),
+    pytest.param(["propose", "CORPUS", "--propose.restore", "true", "--frame.ring", "100000"], 2,
+                 id="command7-2"),
+    pytest.param(["probe", "--frame.ring", "100000"], 2, id="command8-2"),
+    pytest.param(["probe", "--frame.width", "100000", "--frame.height", "100000"], 2,
+                 id="command9-2"),
+    pytest.param(["eval", "CORPUS", "--eval.sweep_amplitudes", "0.5"], 2, id="command10-2"),
+    pytest.param(["eval", "CORPUS", "--eval.sweep_substeps", "4"], 2, id="command11-2"),
     # amplitude 2 is past the stability limit, and comes after two good settings
-    (["eval", "CORPUS", "--eval.sweep_amplitudes", "1,2", "--eval.sweep_substeps", "4,8"], 2),
+    pytest.param(["eval", "CORPUS", "--eval.sweep_amplitudes", "1,2",
+                 "--eval.sweep_substeps", "4,8"], 2, id="command12-2"),
     # outputs are named by stem: two inputs with one stem, or one file twice
-    (["propose", "CORPUS", "CORPUS2"], 1),
-    (["restore", "CORPUS", "CORPUS2"], 1),
-    (["propose", "CORPUS", "CORPUS"], 1),
+    pytest.param(["propose", "CORPUS", "CORPUS2"], 1, id="command13-1"),
+    pytest.param(["restore", "CORPUS", "CORPUS2"], 1, id="command14-1"),
+    pytest.param(["propose", "CORPUS", "CORPUS"], 1, id="command15-1"),
     # usage errors: no input, a stray argument, an abbreviated key, a key without a value
-    (["propose"], 2),
-    (["probe", "extra"], 2),
-    (["probe", "--frame.widt", "64"], 2),
-    (["probe", "--frame.width"], 2),
+    pytest.param(["propose"], 2, id="command16-2"),
+    pytest.param(["probe", "extra"], 2, id="command17-2"),
+    pytest.param(["probe", "--frame.widt", "64"], 2, id="command18-2"),
+    pytest.param(["probe", "--frame.width"], 2, id="command19-2"),
     # a newline in the message is escaped, not printed
-    (["propose", "missing\nframe.pbm"], 1),
+    pytest.param(["propose", "missing\nframe.pbm"], 1, id="command20-1"),
     # 2**64 + 1 would wrap to 1 in the compiled restore's C long
-    (["restore", "CORPUS", "--diffusion.substeps_per_pulse", str(2**64 + 1)], 2),
-    (["restore", "CORPUS", "--diffusion.pulses", str(2**64 + 1)], 2),
-    (["propose", "CORPUS", "--propose.restore", "true",
-      "--diffusion.substeps_per_pulse", str(2**64 + 1)], 2),
-    (["eval", "CORPUS", "--eval.sweep_amplitudes", "1", "--eval.sweep_substeps", str(2**31)], 2),
+    pytest.param(["restore", "CORPUS", "--diffusion.substeps_per_pulse", str(2**64 + 1)], 2,
+                 id="command21-2"),
+    pytest.param(["restore", "CORPUS", "--diffusion.pulses", str(2**64 + 1)], 2, id="command22-2"),
+    pytest.param(["propose", "CORPUS", "--propose.restore", "true",
+                 "--diffusion.substeps_per_pulse", str(2**64 + 1)], 2, id="command23-2"),
+    pytest.param(["eval", "CORPUS", "--eval.sweep_amplitudes", "1",
+                 "--eval.sweep_substeps", str(2**31)], 2, id="command24-2"),
     # more objects than a frame has pixels
-    (["synth", "--synth.objects_max", str(10**20)], 2),
+    pytest.param(["synth", "--synth.objects_max", str(10**20)], 2, id="command25-2"),
     # a corpus past five-digit frame numbers; 2**63 overflowed numpy's seed spawning
-    (["synth", "--synth.frames", "100001"], 2),
-    (["synth", "--synth.frames", str(2**63)], 2),
+    pytest.param(["synth", "--synth.frames", "100001"], 2, id="command26-2"),
+    pytest.param(["synth", "--synth.frames", str(2**63)], 2, id="command27-2"),
     # a corpus directory that is missing, or that holds no frame (a restored one is not)
-    (["eval", "MISSING"], 1),
-    (["eval", "NOFRAME"], 1),
+    pytest.param(["eval", "MISSING"], 1, id="command28-1"),
+    pytest.param(["eval", "NOFRAME"], 1, id="command29-1"),
 ])
 def test_failed_command_leaves_no_out_directory(tmp_path, capsys, monkeypatch, command, code):
     from cramsim import cli, oracle

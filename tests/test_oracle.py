@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frame_of
+from match_reference import reference_evaluate, reference_match_boxes
 from cramsim import oracle
 from cramsim.diffusion import DiffusionConfig
 from cramsim.errors import ConfigError
@@ -152,6 +153,71 @@ def test_match_boxes_tie_breaks_by_gt_then_pred_index():
     assert m.pairs == [(0, 0), (1, 1)]
 
 
+side = st.integers(0, 4)
+box_strategy = st.builds(lambda r0, h, c0, w: Box(r0, r0 + h, c0, c0 + w),
+                         st.integers(0, 9), side, st.integers(0, 9), side)
+
+
+@st.composite
+def nested_in(draw, box: Box) -> Box:
+    """A box inside box, edges included."""
+    r0, r1 = sorted(draw(st.lists(st.integers(box.r0, box.r1), min_size=2, max_size=2)))
+    c0, c1 = sorted(draw(st.lists(st.integers(box.c0, box.c1), min_size=2, max_size=2)))
+    return Box(r0, r1, c0, c1)
+
+
+@st.composite
+def pred_and_gt(draw) -> tuple[list[Box], list[Box]]:
+    """Either side may be empty; predictions repeat, nest in or miss the ground
+    truth, and the small coordinate range makes tied IoUs common."""
+    gt = draw(st.lists(box_strategy, max_size=6))
+    kinds = [box_strategy]
+    if gt:
+        kinds += [st.sampled_from(gt), st.sampled_from(gt).flatmap(nested_in),
+                  st.sampled_from(gt).map(lambda b: Box(b.r0 + 20, b.r1 + 20, b.c0, b.c1))]
+    pred = draw(st.lists(st.one_of(kinds), max_size=6))
+    return pred, gt
+
+
+def thresholds_for(draw, frames: list[tuple[list[Box], list[Box]]]) -> list[float]:
+    """1-6 thresholds in (0, 1], some of them exactly the IoU of a frame's (pred, gt) pair."""
+    values = sorted({iou(p, g) for pred, gt in frames for p in pred for g in gt} - {0.0})
+    kinds = [st.floats(0.0, 1.0, exclude_min=True), st.just(1.0)]
+    if values:
+        kinds.append(st.sampled_from(values))
+    return draw(st.lists(st.one_of(kinds), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_match_boxes_matches_reference(data):
+    pred, gt = data.draw(pred_and_gt())
+    for thr in thresholds_for(data.draw, [(pred, gt)]):
+        assert match_boxes(pred, gt, thr) == reference_match_boxes(pred, gt, thr), thr
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_evaluate_matches_reference_summed_threshold_by_threshold(data):
+    """One match per frame at the lowest threshold gives every threshold's
+    report, as matching at each threshold and summing would."""
+    pipe = EvalPipeline(rp=RpConfig(size_min=1, slot_r=2, slot_c=2),
+                        restore=data.draw(st.booleans()), consolidate=data.draw(st.booleans()))
+    samples, frames = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        objects, gt = data.draw(pred_and_gt())
+        px = np.zeros((34, 16), dtype=np.uint8)
+        for b in objects:
+            px[b.r0:b.r1 + 1, b.c0:b.c1 + 1] = 1
+        frame = BinaryFrame(px)
+        samples.append(FrameSample(frame, gt))
+        frames.append((pipe.propose(frame).boxes, gt))
+    thresholds = thresholds_for(data.draw, frames)
+    want = reference_evaluate(samples, pipe, thresholds)
+    for workers in (1, 2):
+        assert evaluate(samples, pipe, thresholds, workers=workers) == want, workers
+
+
 # --- evaluation
 
 
@@ -226,7 +292,7 @@ def test_evaluate_checks_thresholds_before_any_frame(monkeypatch):
 
     def counting_propose(self, frame):
         calls.append(frame)
-        return SimpleNamespace(boxes=[])
+        return SimpleNamespace(proposal=SimpleNamespace(rows=[]))
 
     monkeypatch.setattr(EvalPipeline, "propose", counting_propose)
     samples = [FrameSample(frame=frame_of("##\n##"), gt=[Box(0, 1, 0, 1)])] * 3
@@ -279,7 +345,7 @@ def test_evaluate_sweep_checks_every_setting_before_any_frame(monkeypatch):
 
     def counting_propose(self, frame):
         calls.append(frame)
-        return SimpleNamespace(boxes=[])
+        return SimpleNamespace(proposal=SimpleNamespace(rows=[]))
 
     monkeypatch.setattr(EvalPipeline, "propose", counting_propose)
     samples = [FrameSample(frame=frame_of("##\n##"), gt=[Box(0, 1, 0, 1)])] * 3

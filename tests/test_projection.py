@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import KERNELS, box_array, frame_of, kernel_in_use
+from conftest import KERNELS, box_array, box_rows, frame_of, kernel_in_use
 from iss_reference import reference_iss, refine, runs_from_bits
 from rp_reference import col_gap, reference_rp_update, row_gap, union
 from cramsim import _ckernel
@@ -530,27 +530,27 @@ def test_rp_update_merges_within_slot():
     a = Box(0, 3, 0, 3)
     b = Box(0, 3, 6, 9)  # column gap 2 < slot 4, row overlap
     cfg = RpConfig(size_min=1, slot_r=4, slot_c=4)
-    assert rp_update(box_array([a, b]), cfg) == [Box(0, 3, 0, 9)]
+    assert rp_update(box_array([a, b]), cfg) == [(0, 3, 0, 9)]
 
 
 def test_rp_update_gap_equal_to_slot_stays_split():
     a = Box(0, 3, 0, 3)
     b = Box(0, 3, 8, 11)  # column gap 4 == slot 4
     cfg = RpConfig(size_min=1, slot_r=4, slot_c=4)
-    assert rp_update(box_array([a, b]), cfg) == [a, b]
+    assert rp_update(box_array([a, b]), cfg) == box_rows([a, b])
 
 
 def test_rp_update_needs_both_axes_within_slot():
     a = Box(0, 3, 0, 3)
     b = Box(9, 12, 0, 3)  # row gap 5 >= slot
     cfg = RpConfig(size_min=1, slot_r=4, slot_c=4)
-    assert rp_update(box_array([a, b]), cfg) == [a, b]
+    assert rp_update(box_array([a, b]), cfg) == box_rows([a, b])
 
 
 def test_rp_update_chain_merge_reaches_fixpoint():
     boxes = [Box(0, 3, 0 + 6 * i, 3 + 6 * i) for i in range(4)]  # gaps of 2
     cfg = RpConfig(size_min=1, slot_r=4, slot_c=4)
-    assert rp_update(box_array(boxes), cfg) == [Box(0, 3, 0, 21)]
+    assert rp_update(box_array(boxes), cfg) == [(0, 3, 0, 21)]
 
 
 @pytest.mark.parametrize("corner_first", [True, False])
@@ -562,7 +562,7 @@ def test_rp_update_union_reaches_box_neither_part_reaches(corner_first):
     cfg = RpConfig(size_min=1, slot_r=3, slot_c=3)
     assert col_gap(corner, a) >= cfg.slot_c and row_gap(corner, b) >= cfg.slot_r
     boxes = [corner, a, b] if corner_first else [a, b, corner]
-    assert rp_update(box_array(boxes), cfg) == [Box(0, 9, 0, 9)]
+    assert rp_update(box_array(boxes), cfg) == [(0, 9, 0, 9)]
     assert reference_rp_update(boxes, cfg) == [Box(0, 9, 0, 9)]
 
 
@@ -571,8 +571,8 @@ def test_rp_update_size_filter_area_vs_max_side():
     dot = Box(5, 6, 5, 6)     # 2x2: area 4, max side 2
     area_cfg = RpConfig(size_min=4, slot_r=0, slot_c=0, size_metric="area")
     side_cfg = RpConfig(size_min=4, slot_r=0, slot_c=0, size_metric="max_side")
-    assert rp_update(box_array([sliver, dot]), area_cfg) == [sliver, dot]
-    assert rp_update(box_array([sliver, dot]), side_cfg) == [sliver]
+    assert rp_update(box_array([sliver, dot]), area_cfg) == box_rows([sliver, dot])
+    assert rp_update(box_array([sliver, dot]), side_cfg) == box_rows([sliver])
 
 
 def test_rp_update_filters_before_merging():
@@ -581,14 +581,14 @@ def test_rp_update_filters_before_merging():
     big2 = Box(0, 5, 20, 25)
     speck = Box(2, 2, 9, 9)
     cfg = RpConfig(size_min=4, slot_r=4, slot_c=4)
-    assert rp_update(box_array([big1, speck, big2]), cfg) == [big1, big2]
+    assert rp_update(box_array([big1, speck, big2]), cfg) == box_rows([big1, big2])
 
 
 def test_rp_update_zero_slot_never_merges_separated():
     a = Box(0, 3, 0, 3)
     b = Box(0, 3, 4, 7)  # adjacent: gap 0; slot 0 requires gap < 0, impossible
     cfg = RpConfig(size_min=1, slot_r=0, slot_c=0)
-    assert rp_update(box_array([a, b]), cfg) == [a, b]
+    assert rp_update(box_array([a, b]), cfg) == box_rows([a, b])
 
 
 box_strategy = st.tuples(
@@ -605,14 +605,14 @@ def test_rp_update_order_invariant_and_idempotent(boxes, perm_seed):
     rng = np.random.default_rng(perm_seed)
     shuffled = [boxes[i] for i in rng.permutation(len(boxes))]
     assert rp_update(box_array(shuffled), cfg) == merged
-    assert rp_update(box_array(merged), cfg) == merged
+    assert rp_update(np.array(merged, dtype=np.int64).reshape(-1, 4), cfg) == merged
 
 
 @settings(max_examples=60, deadline=None)
 @given(boxes=boxes_strategy)
 def test_rp_update_output_pairwise_unmergeable(boxes):
     cfg = RpConfig(size_min=1, slot_r=3, slot_c=3)
-    merged = rp_update(box_array(boxes), cfg)
+    merged = [Box(*row) for row in rp_update(box_array(boxes), cfg)]
     for a, b in itertools.combinations(merged, 2):
         assert row_gap(a, b) >= cfg.slot_r or col_gap(a, b) >= cfg.slot_c
 
@@ -629,10 +629,13 @@ def test_rp_update_output_pairwise_unmergeable(boxes):
 @example(boxes=[], size_min=0, slot_r=0, slot_c=0, size_metric="area", perm_seed=0)
 @example(boxes=[], size_min=0, slot_r=6, slot_c=6, size_metric="max_side", perm_seed=0)
 def test_rp_update_matches_reference(boxes, size_min, slot_r, slot_c, size_metric, perm_seed):
-    """The array consolidation equals the plain Box-list one, in any input order."""
+    """The array consolidation equals the plain Box-list one, in any input order,
+    as tuples of Python ints."""
     cfg = RpConfig(size_min=size_min, slot_r=slot_r, slot_c=slot_c, size_metric=size_metric)
-    want = reference_rp_update(boxes, cfg)
-    assert rp_update(box_array(boxes), cfg) == want
+    want = box_rows(reference_rp_update(boxes, cfg))
+    got = rp_update(box_array(boxes), cfg)
+    assert got == want
+    assert all(type(row) is tuple and all(type(v) is int for v in row) for row in got)
     shuffled = [boxes[i] for i in np.random.default_rng(perm_seed).permutation(len(boxes))]
     assert rp_update(box_array(shuffled), cfg) == want
 
