@@ -1,13 +1,15 @@
 """The compiled kernels: `_kernel.c`, built with the system C compiler on first use.
 
-The library holds one call per pipeline stage: a whole restoration, one loop
-over tiles of cells (used by ``diffusion.restore_image``, which wants only
-the bits, so that a charge bound decides most tiles, and by
-``apply_pulses``, which wants every voltage, so that every tile is in doubt,
-as it is wherever the bound does not apply), and the projection search (used
-by ``projection.iss``). The restore declines with -1 when it cannot allocate
-its scratch, as the search does for a frame it cannot take, and the caller
-then runs its numpy kernel. It is built or loaded once per process on the
+The library holds a whole restoration, one loop over tiles of cells (used by
+``diffusion.restore_image``, which wants only the bits, so that a charge
+bound decides most tiles, and by ``apply_pulses``, which wants every
+voltage, so that every tile is in doubt, as it is wherever the bound does
+not apply), the projection search (used by ``projection.iss``), and both in
+one call, which ``EvalPipeline.propose`` takes through ``restore_image``
+for a frame it restores and searches: one call per restored frame, and one
+per pipeline stage elsewhere. A call declines with -1 when it cannot
+allocate its scratch, or the search cannot take the frame, and the caller
+then runs its numpy kernels. It is built or loaded once per process on the
 first call to :func:`kernels`, and cached per user under
 ``$XDG_CACHE_HOME/cramsim`` (``~/.cache/cramsim`` by default), in a file
 named by a hash of the source, the compiler flags and the machine type, so
@@ -19,8 +21,8 @@ process and the callers keep their numpy kernels; nothing is printed. ctypes
 releases the GIL for the length of each call.
 
 On x86-64 the restore is compiled twice, a baseline and an AVX-512F build;
-the library reports how many of its builds this CPU runs, and the restore is
-bound to the widest. Only `_kernel.c` knows which builds exist. A library
+the library reports how many of its builds this CPU runs, and both calls
+that restore are bound to the widest. Only `_kernel.c` knows which builds exist. A library
 built on another architecture holds the baseline alone. There is no AVX2
 build: no benchmarked CPU would pick it, so its gain was never measured, and
 it comes back only with a measured gain on a CPU with AVX2 but no AVX-512F.
@@ -53,6 +55,11 @@ class _Kernels(NamedTuple):
     # tripping at fewest enabled 1s; returns the candidate count, or -1 if it declined
     search: object
     builds: int  # the restore builds the library holds and this CPU runs; the widest is bound
+    # f(pixels_addr, height, width, ring, cur_addr, nxt_addr, coupling, substeps, pulses, vth,
+    #   bits_addr, fewest, max_iters, work_addr, info_addr): restore with analog 0 into bits,
+    #   then search them with capacity height * width; returns the candidate count, or -1 if
+    #   either declined
+    restore_search: functools.partial
 
 
 _UNTRIED = object()
@@ -102,6 +109,7 @@ def _load():
             if directory != cache:
                 shutil.rmtree(directory, ignore_errors=True)
         variants, restore, search = lib.cramsim_variants, lib.cramsim_restore, lib.cramsim_search
+        restore_search = lib.cramsim_restore_search
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     long, double, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
@@ -112,8 +120,12 @@ def _load():
     restore.restype = long
     search.argtypes = (ptr, long, long, long, long, long, ptr, ptr)
     search.restype = long
+    restore_search.argtypes = (long, ptr, long, long, long, ptr, ptr, double, long, long, double,
+                               ptr, long, long, ptr, ptr)
+    restore_search.restype = long
     builds = variants()
-    return _Kernels(functools.partial(restore, builds - 1), search, builds)
+    return _Kernels(functools.partial(restore, builds - 1), search, builds,
+                    functools.partial(restore_search, builds - 1))
 
 
 def _build_key() -> str:

@@ -3,11 +3,13 @@
  * cramsim_restore runs a whole restoration (each pulse loads bits, diffuses
  * and senses them again, tile by tile; when only the bits are wanted, a
  * charge bound decides most tiles, and every tile is in doubt where the
- * bound does not apply), and cramsim_search the alternating-projection
- * region search: one call per pipeline stage. Each takes only
- * scalars and the caller's buffers (the search's line detector is one trip
- * count), and gives exactly the results of its numpy kernel, which stays as
- * the fallback for hosts without a compiler.
+ * bound does not apply), cramsim_search the alternating-projection region
+ * search, and cramsim_restore_search both on one frame, the search reading
+ * the restored bits where the restore left them: one call per restored and
+ * searched frame, and one per stage elsewhere. Each takes only scalars and
+ * the caller's buffers (the search's line detector is one trip count), and
+ * gives exactly the results of its numpy kernel, which stays as the
+ * fallback for hosts without a compiler.
  */
 
 #include <stdint.h>
@@ -530,6 +532,22 @@ long cramsim_variants(void)
     return 1;
 }
 
+/* The restore in variant number variant, or in the baseline if this CPU
+ * cannot run it. */
+static long restore_variant(long variant, const unsigned char *pixels, long h, long w, long ring,
+                            double *cur, double *nxt, double c, long substeps, long pulses,
+                            double vth, unsigned char *bits, long analog)
+{
+#ifdef AVX512F_VARIANT
+    if (variant == 1 && cramsim_variants() == 2)
+        return restore_avx512f(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits,
+                               analog);
+#endif
+    (void)variant;
+    return restore_baseline(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits,
+                            analog);
+}
+
 /* The whole restoration of diffusion.restore_image in one call, in variant
  * number variant.
  *
@@ -553,15 +571,8 @@ long cramsim_restore(long variant, const unsigned char *pixels, long h, long w, 
                      double *cur, double *nxt, double c, long substeps, long pulses, double vth,
                      unsigned char *bits, long analog)
 {
-    /* variant number variant, or the baseline if this CPU cannot run it */
-#ifdef AVX512F_VARIANT
-    if (variant == 1 && cramsim_variants() == 2)
-        return restore_avx512f(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits,
-                               analog);
-#endif
-    (void)variant;
-    return restore_baseline(pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits,
-                            analog);
+    return restore_variant(variant, pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits,
+                           analog);
 }
 
 /* The set pixels still inside a candidate: row, column and owning candidate. */
@@ -656,6 +667,18 @@ static long project(const int32_t *cand, long n, int a, Points *pts, long fewest
     return k;
 }
 
+/* Append the set pixel at row r, column c to pts; 0 if pts is full. */
+static inline int collect(Points *pts, long capacity, long r, long c)
+{
+    if (pts->n == capacity)
+        return 0;
+    pts->row[pts->n] = (int32_t)r;
+    pts->col[pts->n] = (int32_t)c;
+    pts->owner[pts->n] = 0;
+    pts->n++;
+    return 1;
+}
+
 /* The alternating-projection search of projection.iss over a rows x cols
  * C-contiguous frame, one byte per pixel, nonzero meaning set.
  *
@@ -675,8 +698,8 @@ static long project(const int32_t *cand, long n, int a, Points *pts, long fewest
  * large for 32-bit coordinates, the pixels hold more than capacity set
  * pixels, or a buffer cannot be allocated.
  */
-long cramsim_search(const unsigned char *pixels, long rows, long cols, long fewest,
-                    long max_iters, long capacity, int32_t *work, int64_t *info)
+static long search(const unsigned char *pixels, long rows, long cols, long fewest, long max_iters,
+                   long capacity, int32_t *work, int64_t *info)
 {
     if (fewest < 1 || max_iters < 1 || rows < 1 || cols < 1 || capacity < 0
         || rows > INT32_MAX / cols)
@@ -684,25 +707,20 @@ long cramsim_search(const unsigned char *pixels, long rows, long cols, long fewe
     Points pts = {work, work + capacity, work + 2 * capacity, 0};
     for (long r = 0; r < rows; r++) {
         const unsigned char *px = pixels + r * cols;
-        for (long c0 = 0; c0 < cols; c0 += 8) {
-            const long c1 = c0 + 8 < cols ? c0 + 8 : cols;
-            if (c1 - c0 == 8) {
-                uint64_t word;
-                memcpy(&word, px + c0, sizeof word);
-                if (!word)
-                    continue;
-            }
-            for (long c = c0; c < c1; c++) {
-                if (!px[c])
-                    continue;
-                if (pts.n == capacity)
+        long c = 0;
+#ifdef __SSE2__
+        /* 16 pixels at a time: one bit per set pixel, taken lowest first */
+        for (; c + 16 <= cols; c += 16) {
+            const __m128i zero = _mm_cmpeq_epi8(_mm_loadu_si128((const __m128i *)(px + c)),
+                                                _mm_setzero_si128());
+            for (unsigned set = ~(unsigned)_mm_movemask_epi8(zero) & 0xFFFFu; set; set &= set - 1)
+                if (!collect(&pts, capacity, r, c + __builtin_ctz(set)))
                     return -1;
-                pts.row[pts.n] = (int32_t)r;
-                pts.col[pts.n] = (int32_t)c;
-                pts.owner[pts.n] = 0;
-                pts.n++;
-            }
         }
+#endif
+        for (; c < cols; c++)
+            if (px[c] && !collect(&pts, capacity, r, c))
+                return -1;
     }
 
     Scratch cur = {0}, nxt = {0}, shift = {0}, line = {0};
@@ -736,4 +754,31 @@ long cramsim_search(const unsigned char *pixels, long rows, long cols, long fewe
     info[0] = iterations;
     info[1] = projected - 1; /* the whole frame's is the full-axis projection */
     return n;
+}
+
+/* The search above, over the caller's frame. */
+long cramsim_search(const unsigned char *pixels, long rows, long cols, long fewest,
+                    long max_iters, long capacity, int32_t *work, int64_t *info)
+{
+    return search(pixels, rows, cols, fewest, max_iters, capacity, work, info);
+}
+
+/* The restore and the search in one call, for a restored frame that is only
+ * searched: the restore of cramsim_restore with analog 0, in variant number
+ * variant, senses the frame into bits, and the search above runs over those
+ * bits with room for every pixel (capacity h w), so it never declines for
+ * want of it; work then needs h w rows of 4 int32. Returns the candidate
+ * count, or -1 if the restore or the search declined. The data never leaves
+ * the library between the two, as the restored bits never leave the array
+ * before the projections read them.
+ */
+long cramsim_restore_search(long variant, const unsigned char *pixels, long h, long w, long ring,
+                            double *cur, double *nxt, double c, long substeps, long pulses,
+                            double vth, unsigned char *bits, long fewest, long max_iters,
+                            int32_t *work, int64_t *info)
+{
+    if (restore_variant(variant, pixels, h, w, ring, cur, nxt, c, substeps, pulses, vth, bits, 0)
+        < 0)
+        return -1;
+    return search(bits, h, w, fewest, max_iters, h * w, work, info);
 }

@@ -16,6 +16,12 @@ chosen once per process from what the library reports; the same loop over
 `_Stencil`'s numpy steps is the fallback, with the same bits.
 `diffuse_substep` and the probe run the numpy kernel.
 
+A frame that is restored only to be searched (`EvalPipeline.propose`, through
+`restore_image` with a search config) is restored and searched in one
+compiled call: the projection search reads the restored bits in the
+thread's own buffers, as the array's projections read them in place, and
+the call drops and retakes the GIL once per frame instead of twice.
+
 The compiled kernel works in tiles of cells. `restore_image` wants only
 the bits, and the kernel then takes most of them from a charge bound: a
 pulse of S substeps leaves each cell at a weighted sum of the bits within
@@ -42,6 +48,15 @@ import numpy as np
 from . import _ckernel
 from .errors import ConfigError, GuardError
 from .grid import MAX_DIM, AnalogState, BinaryFrame
+from .projection import (
+    IssResult,
+    RpConfig,
+    _check_searchable,
+    _fewest_to_trip,
+    _iteration_cap,
+    _kernel_result,
+    iss,
+)
 
 MAX_PROBE_SUBSTEPS = 10**6
 MAX_COUNT = 2**31 - 1  # the most substeps per pulse, or pulses: a C long on every platform
@@ -112,6 +127,10 @@ class _Stencil:
     no in-grid neighbor count, so the outer edge reflects. Both buffers'
     borders are zero whenever no method is running, which lets the compiled
     restore write only the grid cells.
+
+    The compiled restore-and-search call also keeps its restored bits, its
+    work rows (16 bytes per cell) and its counts here, made on its first use
+    and sized for any frame on this grid, whatever its ring.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -129,6 +148,8 @@ class _Stencil:
         self._tmp = np.empty(rows * wp)
         self._cur = np.zeros((rows + 2) * wp)
         self._nxt = np.zeros_like(self._cur)
+        self._bits = self._work = None  # the search's, on first use
+        self._info = np.empty(0, np.int64)
 
     @property
     def grid(self) -> np.ndarray:
@@ -199,6 +220,28 @@ class _Stencil:
             bits = (_interior(self.grid, ring) > vth).astype(np.uint8)
         return bits
 
+    def restore_search(self, frame: BinaryFrame, cfg: DiffusionConfig,
+                       rp: RpConfig) -> IssResult | None:
+        """Restore the frame as restore_image does and search the restored bits as
+        projection.iss does, in one compiled call; None without the compiled kernels or if
+        the call declined. The grid's charges are left unspecified."""
+        kernels = _ckernel.kernels()
+        if kernels is None:
+            return None
+        h, w = frame.pixels.shape
+        max_iters = _iteration_cap(rp.max_iters, h * w)  # the search has room for every pixel
+        if self._work is None:
+            cells = self.shape[0] * self.shape[1]
+            self._bits, self._work = np.empty(cells, np.uint8), np.empty((cells, 4), np.int32)
+        if len(self._info) < max_iters + 2:
+            self._info = np.empty(max_iters + 2, np.int64)
+        n = kernels.restore_search(frame.pixels.ctypes.data, h, w, cfg.ring,
+                                   self._cur.ctypes.data, self._nxt.ctypes.data, cfg.coupling,
+                                   cfg.substeps_per_pulse, cfg.pulses, cfg.vth,
+                                   self._bits.ctypes.data, _fewest_to_trip(rp.projection),
+                                   max_iters, self._work.ctypes.data, self._info.ctypes.data)
+        return _kernel_result(n, self._work, self._info)
+
     def load(self, pixels: np.ndarray, ring: int) -> None:
         """Write the pixels inside a ring of zeros, replacing every voltage."""
         self._cur.fill(0.0)
@@ -259,7 +302,8 @@ def apply_pulses(frame: BinaryFrame, cfg: DiffusionConfig) -> AnalogState:
     return stencil.state(cfg.ring)
 
 
-def restore_image(frame: BinaryFrame, cfg: DiffusionConfig) -> BinaryFrame:
+def restore_image(frame: BinaryFrame, cfg: DiffusionConfig,
+                  search: RpConfig | None = None) -> BinaryFrame | IssResult:
     """Full restoration: the bits the pulse train's last pulse senses at cfg.vth.
 
     At the default config this removes every 4-isolated 1-pixel and fills any
@@ -268,9 +312,21 @@ def restore_image(frame: BinaryFrame, cfg: DiffusionConfig) -> BinaryFrame:
     docstring and diffuses only near the tiles it leaves in doubt; the bits
     are those of the full pulse train, and every tile is in doubt where the
     bound does not apply.
+
+    With search, the restored frame is searched instead of returned: the
+    result is ``iss(restore_image(frame, cfg), search)``, run as one compiled
+    call where the kernels load and as those two calls where they do not or
+    the compiled call declines. `EvalPipeline.propose` restores this way; the
+    fused call stays under this function's name, which the benchmark's
+    tracer times as the restore layer.
     """
+    if search is None:
+        stencil = _stencil(frame.pixels.shape, cfg.ring)
+        return BinaryFrame(stencil.pulse_train(frame, cfg, analog=False))
+    _check_searchable(frame)
     stencil = _stencil(frame.pixels.shape, cfg.ring)
-    return BinaryFrame(stencil.pulse_train(frame, cfg, analog=False))
+    return (stencil.restore_search(frame, cfg, search)
+            or iss(BinaryFrame(stencil.pulse_train(frame, cfg, analog=False)), search))
 
 
 def _check_max_ones(max_ones: int) -> None:

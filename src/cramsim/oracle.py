@@ -19,7 +19,7 @@ import numpy as np
 from .diffusion import DiffusionConfig, restore_image
 from .errors import ConfigError
 from .grid import BinaryFrame
-from .projection import Box, ProposeResult, RpConfig, Row, _sorted_rows, iss, region_propose
+from .projection import Box, ProposeResult, RpConfig, Row, _consolidated, _sorted_rows, iss
 from .timing import CostReport, cost_report
 
 IOU_THRESHOLDS = (0.3, 0.5, 0.7)  # scored when no thresholds are given
@@ -276,6 +276,12 @@ class EvalPipeline:
     frame. restore/consolidate toggles support ablations; with consolidate
     off the raw projection-search boxes are the proposal, and the
     controller, which never runs, is charged nothing.
+
+    A frame that propose() restores is restored and searched in one compiled
+    call where the kernels load (restore_image with the search config): the
+    restored bits stay in the thread's buffers, and the call gives up the
+    GIL once per frame. The result is that of iss(restore_image(frame)), bit
+    for bit, and so are the proposal and the modeled cost.
     """
 
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
@@ -286,12 +292,10 @@ class EvalPipeline:
     def propose(self, frame: BinaryFrame) -> FrameRun:
         d = self.diffusion
         cells = (frame.height + 2 * d.ring) * (frame.width + 2 * d.ring)
-        if self.restore:
-            frame = restore_image(frame, d)
+        found = restore_image(frame, d, self.rp) if self.restore else iss(frame, self.rp)
         if self.consolidate:
-            proposal = region_propose(frame, self.rp)
+            proposal = _consolidated(found, self.rp)
         else:
-            found = iss(frame, self.rp)
             proposal = ProposeResult(_sorted_rows(found.candidates.tolist()), found.trace, found)
         return FrameRun(proposal, d.pulses * d.substeps_per_pulse if self.restore else 0, cells)
 

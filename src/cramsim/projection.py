@@ -15,7 +15,11 @@ ProposeResult.boxes and IssResult.boxes.
 The search runs in the compiled kernel (`_kernel.c`, loaded by `_ckernel`)
 in one call per frame, outside the GIL, when this host can build it; the
 batched numpy passes of `_numpy_search` are the fallback, with the same
-results. `tests/iss_reference.py` holds both to a per-candidate loop.
+results. `tests/iss_reference.py` holds both to a per-candidate loop. A
+frame that `EvalPipeline.propose` restores is searched in the restore's own
+compiled call (`diffusion.restore_image` with a search config), over the
+restored bits where the restore left them; the helpers that size, read and
+wrap the kernel's buffers here serve both calls.
 """
 
 from __future__ import annotations
@@ -237,42 +241,64 @@ def iss(frame: BinaryFrame, cfg: RpConfig) -> IssResult:
     Both count only the set pixels still inside a candidate and give the
     same candidates, in pass order. A side over MAX_DIM raises InputError.
     """
+    _check_searchable(frame)
     pixels = frame.pixels
-    if max(pixels.shape) > MAX_DIM:
-        raise InputError(f"frame {frame.width}x{frame.height} exceeds {MAX_DIM}x{MAX_DIM}")
     fewest = _fewest_to_trip(cfg.projection)
-    candidates, iterations, regions, cells = (_compiled_search(pixels, fewest, cfg.max_iters)
-                                              or _numpy_search(pixels, fewest, cfg.max_iters))
+    return (_compiled_search(pixels, fewest, cfg.max_iters)
+            or _iss_result(*_numpy_search(pixels, fewest, cfg.max_iters)))
+
+
+def _check_searchable(frame: BinaryFrame) -> None:
+    """Raise InputError for a frame with a side over MAX_DIM, longer than any line the
+    detector model (_fewest_to_trip) covers."""
+    if max(frame.pixels.shape) > MAX_DIM:
+        raise InputError(f"frame {frame.width}x{frame.height} exceeds {MAX_DIM}x{MAX_DIM}")
+
+
+def _iss_result(candidates: np.ndarray, iterations: int, regions: int,
+                cells: list[int]) -> IssResult:
+    """A search's result, with regions the region projections it made."""
     trace = CycleTrace({FULL_AXIS_PROJECTION: 1, REGION_PROJECTION: regions})
     return IssResult(candidates, iterations, trace, cells)
 
 
-def _compiled_search(pixels: np.ndarray, fewest: int, max_iters: int):
+def _iteration_cap(max_iters: int, capacity: int) -> int:
+    """max_iters clamped to 2 * capacity + 2, for a compiled search with room for capacity
+    set pixels. The cap sizes info, fits a C long and never changes the result: every
+    candidate holds a set pixel, and a pass that does not stop the search changes the
+    candidate count, so 2 * (points kept) - (candidates) stays >= 0 and drops on every
+    such pass."""
+    return min(max_iters, 2 * capacity + 2)
+
+
+def _kernel_result(n: int, work: np.ndarray, info: np.ndarray) -> IssResult | None:
+    """The result of a compiled search that returned n and left its candidates in work
+    and its counts in info, or None if it declined. The candidates are copied out of
+    work, which the caller may reuse."""
+    if n < 0:
+        return None
+    iterations, regions = info[:2].tolist()
+    return _iss_result(work[:n].astype(np.int64), iterations, regions,
+                       info[2:2 + iterations].tolist())
+
+
+def _compiled_search(pixels: np.ndarray, fewest: int, max_iters: int) -> IssResult | None:
     """The search in one compiled call, or None without the kernel or if it declined the frame.
 
-    Returns (candidates in pass order, iterations, region projections, cells
-    per pass). The kernel keeps the set pixels in work, one row each, and then
-    writes its candidates there: candidates are disjoint and each holds a
-    set pixel, so there are never more of them than rows.
-
-    max_iters is clamped to 2 * capacity + 2, which sizes info, fits a C long
-    and never changes the result: every candidate holds a set pixel, and a
-    pass that does not stop the search changes the candidate count, so
-    2 * (points kept) - (candidates) stays >= 0 and drops on every such pass.
+    The kernel keeps the set pixels in work, one row each, and then writes
+    its candidates there: candidates are disjoint and each holds a set
+    pixel, so there are never more of them than rows.
     """
     kernels = _ckernel.kernels()
     if kernels is None:
         return None
     capacity = np.count_nonzero(pixels)
-    max_iters = min(max_iters, 2 * capacity + 2)
+    max_iters = _iteration_cap(max_iters, capacity)
     work = np.empty((capacity, 4), np.int32)
     info = np.empty(max_iters + 2, np.int64)
     n = kernels.search(pixels.ctypes.data, *pixels.shape, fewest, max_iters, capacity,
                        work.ctypes.data, info.ctypes.data)
-    if n < 0:
-        return None
-    iterations, regions = info[:2].tolist()
-    return work[:n].astype(np.int64), iterations, regions, info[2:2 + iterations].tolist()
+    return _kernel_result(n, work, info)
 
 
 def _numpy_search(pixels: np.ndarray, fewest: int, max_iters: int):
@@ -356,7 +382,12 @@ def region_propose(frame: BinaryFrame, cfg: RpConfig) -> ProposeResult:
     one controller op per proposal handed to consolidation and one fixed
     overhead op.
     """
-    found = iss(frame, cfg)
+    return _consolidated(iss(frame, cfg), cfg)
+
+
+def _consolidated(found: IssResult, cfg: RpConfig) -> ProposeResult:
+    """The search's candidates through the controller's consolidation pass, with the
+    search's op counts plus the controller's in the trace."""
     rows = rp_update(found.candidates, cfg)
     trace = CycleTrace({**found.trace.counts,
                         CONTROLLER_OBJECT: len(found.candidates), CONTROLLER_FIXED: 1})

@@ -57,14 +57,15 @@ KERNELS = (*_compiled_kernels(), "numpy")
 
 @contextmanager
 def kernel_in_use(kernel: str):
-    """Diffuse and search on one set of package kernels in the body; a failed
-    assertion names it."""
+    """Diffuse and search on one set of package kernels in the body, both calls that
+    restore in the same build; a failed assertion names it."""
     saved = _ckernel._kernels
     if kernel == "numpy":
         _ckernel._kernels = None
     else:
         k, n = _ckernel.kernels(), int(kernel.removeprefix("compiled-"))
-        _ckernel._kernels = k._replace(restore=partial(k.restore.func, n))
+        _ckernel._kernels = k._replace(restore=partial(k.restore.func, n),
+                                       restore_search=partial(k.restore_search.func, n))
     try:
         yield
     except AssertionError as exc:

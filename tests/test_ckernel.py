@@ -13,11 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import needs_cc
+from conftest import KERNELS, kernel_in_use, needs_cc
+from iss_reference import reference_iss
 from cramsim import _ckernel
 from cramsim.diffusion import DiffusionConfig, apply_pulses, restore_image
 from cramsim.grid import BinaryFrame
-from cramsim.projection import RpConfig, iss
+from cramsim.oracle import EvalPipeline
+from cramsim.projection import ProjectionConfig, RpConfig, iss
 
 PACKAGE = Path(_ckernel.__file__).parent
 # The library that this session built (tests/conftest.py), found before a test moves the cache.
@@ -26,12 +28,15 @@ SESSION_LIBRARY = Path(os.environ["XDG_CACHE_HOME"], "cramsim",
 
 
 def outputs() -> tuple:
-    """What both kernels compute: a pulse train, its restored frame and a search."""
+    """What both kernels compute: a pulse train, its restored frame, a search, and a
+    restored frame's search, which the compiled kernels run in one call."""
     frame = BinaryFrame((np.random.default_rng(3).random((30, 41)) < 0.3).astype(np.uint8))
     cfg = DiffusionConfig(pulses=2)
     found = iss(frame, RpConfig())
+    run = EvalPipeline(cfg, RpConfig(size_min=1)).propose(frame)
     return (apply_pulses(frame, cfg).volts.tobytes(), restore_image(frame, cfg).pixels.tobytes(),
-            found.candidates.tobytes(), found.iterations, found.trace, found.projection_cells)
+            found.candidates.tobytes(), found.iterations, found.trace, found.projection_cells,
+            run.proposal.rows, run.proposal.search.candidates.tobytes(), run.cost)
 
 
 def kernels_loaded() -> bool:
@@ -175,6 +180,17 @@ def test_library_without_the_restore_falls_back_for_every_kernel(first_use, nump
 
 
 @needs_cc
+def test_library_without_the_restore_search_falls_back_for_every_kernel(first_use,
+                                                                         numpy_outputs, capfd):
+    source = _ckernel._SOURCE.read_text()
+    cache_library_built_from(first_use, source[:source.index(
+        "/* The restore and the search in one call")])
+    assert outputs() == numpy_outputs
+    assert not kernels_loaded()
+    assert capfd.readouterr() == ("", "")
+
+
+@needs_cc
 def test_library_without_isa_variants_runs_the_compiled_baseline(first_use, numpy_outputs,
                                                                   capfd):
     """A build for another architecture holds the baseline restore alone, and runs it."""
@@ -287,3 +303,36 @@ def test_search_declines_a_trip_count_below_one():
         assert search(pixels.ctypes.data, 3, 5, fewest, 16, 3, work.ctypes.data,
                       info.ctypes.data) == -1
     assert not work.any() and not info.any()
+
+
+@pytest.mark.parametrize("width", [1, 15, 16, 17, 33])
+def test_search_finds_the_set_pixels_of_every_width_like_the_reference(width):
+    """The search collects set pixels 16 columns at a time, then one at a time: at widths
+    below, at and around 16 and past two blocks, each kernel's search, and its search of
+    a restored frame, equal the per-candidate reference."""
+    rng = np.random.default_rng(width)
+    frames = [np.zeros((5, width), np.uint8), np.ones((5, width), np.uint8)]
+    frames += [(rng.random((h, width)) < density).astype(np.uint8)
+               for h in (1, 7, 40) for density in (0.05, 0.3, 0.7)]
+    for column in range(width):  # one set pixel in each column, in a row of its own
+        frame = np.zeros((3, width), np.uint8)
+        frame[1, column] = 1
+        frames.append(frame)
+    diagonal = np.zeros((width, width), np.uint8)
+    np.fill_diagonal(diagonal, 1)
+    frames.append(diagonal)
+    cfgs = (RpConfig(), RpConfig(projection=ProjectionConfig(dac_code=0)),
+            RpConfig(projection=ProjectionConfig(dac_code=13)))
+    restore = DiffusionConfig(substeps_per_pulse=3, ring=2)
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            for pixels in frames:
+                frame = BinaryFrame(pixels)
+                for cfg in cfgs:
+                    for got, want in ((iss(frame, cfg), reference_iss(frame, cfg)),
+                                      (restore_image(frame, restore, cfg),
+                                       reference_iss(restore_image(frame, restore), cfg))):
+                        assert got.candidates.tolist() == want.candidates.tolist(), pixels
+                        assert got.iterations == want.iterations
+                        assert got.trace == want.trace
+                        assert got.projection_cells == want.projection_cells

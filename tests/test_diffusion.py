@@ -393,7 +393,7 @@ def test_restore_that_declines_runs_the_numpy_loop(monkeypatch):
         calls.append(args)
         return -1
 
-    monkeypatch.setattr(_ckernel, "_kernels", _ckernel._Kernels(declined, None, 1))
+    monkeypatch.setattr(_ckernel, "_kernels", _ckernel._Kernels(declined, None, 1, None))
     rng = np.random.default_rng(30)
     for cfg in (DiffusionConfig(), DiffusionConfig(pulses=2, substeps_per_pulse=3, ring=0),
                 DiffusionConfig(amplitude=0.0, ring=2)):

@@ -11,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_of
+from conftest import KERNELS, frame_of, kernel_in_use
 from match_reference import reference_evaluate, reference_match_boxes
-from cramsim import oracle
-from cramsim.diffusion import DiffusionConfig
-from cramsim.errors import ConfigError
+from cramsim import _ckernel, diffusion, oracle
+from cramsim.config import RunConfig
+from cramsim.diffusion import DiffusionConfig, restore_image
+from cramsim.errors import ConfigError, InputError
 from cramsim.grid import BinaryFrame
 from cramsim.oracle import (
     EvalPipeline,
+    FrameRun,
     FrameSample,
     ccl,
     evaluate,
@@ -26,7 +28,8 @@ from cramsim.oracle import (
     iou,
     match_boxes,
 )
-from cramsim.projection import Box, RpConfig
+from cramsim.projection import Box, ProjectionConfig, RpConfig, iss, region_propose
+from cramsim.synth import generate_corpus
 
 
 # --- connected components
@@ -392,6 +395,141 @@ def test_unconsolidated_run_charges_the_search_and_the_diffusion_only(restore):
     assert cost.diffusion_ops == (5 * 2 * 3 * (18 + 4) * (15 + 4) if restore else 0)
     assert cost.projection_ops == sum(run.proposal.search.projection_cells)
     assert run.boxes == run.proposal.search.boxes
+
+
+# --- a restored frame's search: one compiled call
+
+
+def two_call_run(pipe: EvalPipeline, frame: BinaryFrame) -> FrameRun:
+    """The run of a restoring pipeline as a restore, then a search over its result."""
+    d = pipe.diffusion
+    restored = restore_image(frame, d)
+    if pipe.consolidate:
+        proposal = region_propose(restored, pipe.rp)
+    else:
+        found = iss(restored, pipe.rp)
+        proposal = oracle.ProposeResult(oracle._sorted_rows(found.candidates.tolist()),
+                                        found.trace, found)
+    cells = (frame.height + 2 * d.ring) * (frame.width + 2 * d.ring)
+    return FrameRun(proposal, d.pulses * d.substeps_per_pulse, cells)
+
+
+def assert_same_run(got: FrameRun, want: FrameRun) -> None:
+    g, w = got.proposal.search, want.proposal.search
+    assert g.candidates.dtype == w.candidates.dtype
+    assert g.candidates.tolist() == w.candidates.tolist()
+    assert g.iterations == w.iterations
+    assert g.trace == w.trace
+    assert g.projection_cells == w.projection_cells
+    assert got.proposal.rows == want.proposal.rows
+    assert got.proposal.trace == want.proposal.trace
+    assert got.cost == want.cost
+
+
+class CountedKernels:
+    """The loaded kernels with each call counted by name, as _ckernel._kernels."""
+
+    def __init__(self, kernels, **replaced):
+        self.calls = []
+        fields = {name: replaced.get(name, getattr(kernels, name))
+                  for name in ("restore", "search", "restore_search")}
+        self.kernels = kernels._replace(**{name: self._counted(name, f)
+                                           for name, f in fields.items()})
+
+    def _counted(self, name, f):
+        def call(*args):
+            self.calls.append(name)
+            return f(*args)
+        return call
+
+
+def test_restored_search_is_one_call_equal_to_restore_then_search():
+    """Each kernel's restoring pipeline gives the candidates, counts, rows and cost of a
+    restore followed by a search, bit for bit; with the compiled kernels it makes one
+    call per frame."""
+    rng = np.random.default_rng(41)
+    noisy = [scene.frame for scene in generate_corpus(
+        RunConfig(noise_density=0.01, fragment_gap=2, seed=7).synth_config(), 2)]
+    frames = [BinaryFrame(np.zeros((24, 31), np.uint8)), BinaryFrame(np.ones((24, 31), np.uint8)),
+              BinaryFrame(np.zeros((1, 1), np.uint8)), BinaryFrame(np.ones((1, 1), np.uint8)),
+              BinaryFrame((rng.random((1, 37)) < 0.5).astype(np.uint8)),
+              BinaryFrame((rng.random((29, 1)) < 0.5).astype(np.uint8)), *noisy]
+    # rings 0, 1 and 3; 1 to 3 pulses; the substeps on either side of the charge bound's
+    # least (3) and the default; amplitude 0; every DAC code over the cases
+    diffusions = [DiffusionConfig(ring=ring, pulses=1 + i % 3, substeps_per_pulse=substeps)
+                  for i, (ring, substeps) in enumerate(
+                      (r, s) for r in (0, 1, 3) for s in (1, 2, 3, 8))]
+    diffusions.append(DiffusionConfig(amplitude=0.0, ring=2))
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            counted = None
+            if kernel != "numpy":  # kernel_in_use puts back the loaded kernels
+                counted = CountedKernels(_ckernel._kernels)
+                _ckernel._kernels = counted.kernels
+            case = 0
+            for frame in frames:
+                for d in diffusions[:4] if frame.width > 100 else diffusions:
+                    rp = RpConfig(size_min=1 + case % 5,
+                                  projection=ProjectionConfig(dac_code=case % 16))
+                    case += 1
+                    for consolidate in (True, False):
+                        pipe = EvalPipeline(d, rp, restore=True, consolidate=consolidate)
+                        if counted is not None:
+                            counted.calls.clear()
+                        run = pipe.propose(frame)
+                        if counted is not None:
+                            assert counted.calls == ["restore_search"], kernel
+                        assert_same_run(run, two_call_run(pipe, frame))
+            assert case >= 16  # every DAC code
+
+
+def test_restored_searches_of_two_shapes_on_one_thread_keep_their_results():
+    """The thread's buffers serve frames of any shape in turn, also two frames of one grid
+    shape with different rings, and an earlier result keeps its own candidates."""
+    rng = np.random.default_rng(42)
+    shapes = [((30, 41), 1), ((12, 9), 0), ((28, 39), 2), ((30, 41), 1)]  # 32x43 grids twice
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            kept = []
+            for shape, ring in shapes * 2:
+                frame = BinaryFrame((rng.random(shape) < 0.3).astype(np.uint8))
+                pipe = EvalPipeline(DiffusionConfig(ring=ring), RpConfig(size_min=1))
+                run = pipe.propose(frame)
+                want = two_call_run(pipe, frame)
+                assert_same_run(run, want)
+                kept.append((run, want))
+            for run, want in kept:
+                assert_same_run(run, want)
+
+
+def test_restored_search_that_declines_gives_the_same_run(monkeypatch):
+    """A fused call that returns -1 leaves the frame to a restore and a search of their own,
+    with the same run."""
+    if _ckernel.kernels() is None:
+        pytest.skip("no compiled kernels")
+    frame = generate_corpus(RunConfig(noise_density=0.01, seed=3).synth_config(), 1)[0].frame
+    pipes = [EvalPipeline(), EvalPipeline(consolidate=False),
+             EvalPipeline(DiffusionConfig(pulses=2, substeps_per_pulse=2, ring=0))]
+    wants = [pipe.propose(frame) for pipe in pipes]
+    counted = CountedKernels(_ckernel.kernels(), restore_search=lambda *args: -1)
+    monkeypatch.setattr(_ckernel, "_kernels", counted.kernels)
+    for pipe, want in zip(pipes, wants):
+        counted.calls.clear()
+        assert_same_run(pipe.propose(frame), want)
+        assert counted.calls == ["restore_search", "restore", "search"]
+
+
+def test_restored_search_sizes_its_counts_by_the_frame():
+    """A huge iteration cap sizes no huge buffer, and gives the reference's run; a frame
+    over MAX_DIM on a side is refused before it is restored."""
+    frame = BinaryFrame((np.random.default_rng(43).random((8, 8)) < 0.5).astype(np.uint8))
+    pipe = EvalPipeline(rp=RpConfig(size_min=1, max_iters=10**6))
+    for kernel in KERNELS:
+        with kernel_in_use(kernel):
+            assert_same_run(pipe.propose(frame), two_call_run(pipe, frame))
+            assert diffusion._workspace.stencil._info.size <= 2 * 8 * 8 + 4
+            with pytest.raises(InputError, match="exceeds"):
+                pipe.propose(BinaryFrame(np.zeros((1, 4097), np.uint8)))
 
 
 def test_evaluate_never_works_out_the_modeled_cost(monkeypatch):

@@ -456,7 +456,7 @@ def test_batched_search_matches_reference_on_noisy_corpus(monkeypatch):
         calls.append(args)
         return -1
 
-    monkeypatch.setattr(_ckernel, "_kernels", _ckernel._Kernels(None, declined, 1))
+    monkeypatch.setattr(_ckernel, "_kernels", _ckernel._Kernels(None, declined, 1, None))
     for scene in scenes[:2]:
         assert_same_result(iss(scene.frame, RpConfig()), reference_iss(scene.frame, RpConfig()))
     assert len(calls) == 2
