@@ -209,7 +209,7 @@ def test_widest_variant_runs_and_unrunnable_numbers_run_the_baseline():
     """The loader picks the widest build this CPU runs; the library runs the baseline for
     a variant number that it lacks or that this CPU cannot run."""
     loaded = _ckernel.kernels()
-    assert loaded.restore.args == (loaded.builds - 1,)
+    assert loaded.restore.args == loaded.restore_search.args == (loaded.builds - 1,)
     frame = BinaryFrame((np.random.default_rng(4).random((9, 13)) < 0.4).astype(np.uint8))
     cfg = DiffusionConfig(pulses=2)
 
@@ -222,10 +222,21 @@ def test_widest_variant_runs_and_unrunnable_numbers_run_the_baseline():
                                       bits.ctypes.data, 1)
         return swapped, (nxt if swapped else cur).tobytes(), bits.tobytes()
 
-    baseline = restore(0)
+    def restore_search(number):
+        cur, nxt = np.zeros(13 * 17), np.zeros(13 * 17)
+        bits = np.empty((9, 13), np.uint8)
+        work, info = np.empty((9 * 13, 4), np.int32), np.empty(18, np.int64)
+        n = loaded.restore_search.func(number, frame.pixels.ctypes.data, 9, 13, 1,
+                                       cur.ctypes.data, nxt.ctypes.data, cfg.coupling,
+                                       cfg.substeps_per_pulse, cfg.pulses, cfg.vth,
+                                       bits.ctypes.data, 1, 16, work.ctypes.data,
+                                       info.ctypes.data)
+        return n, work[:n].tobytes(), info[:2 + info[0]].tobytes()
+
+    baseline = restore(0), restore_search(0)
     # 2: no library holds more than the baseline and the AVX-512F build
     for number in (loaded.builds, 2, -1, 99):
-        assert restore(number) == baseline
+        assert (restore(number), restore_search(number)) == baseline
 
 
 def _cpu_flags() -> set[str]:
